@@ -123,14 +123,10 @@ BENCHMARK(BM_StateCopyModel)->Arg(24)->Arg(8000)->Arg(500000);
 
 // ---- State versioning primitives at the Table I payload sizes ------
 // 104 B = streamcluster, 8 KB = facedet/facetrack, ~500 KB = bodytrack.
-// Arg 0 is the payload size; arg 1 selects Deep (0) or CopyOnWrite (1).
 
 void
 BM_StateClone(benchmark::State &state)
 {
-    const core::ScopedStateVersioning guard(
-        state.range(1) ? core::StateVersioning::CopyOnWrite
-                       : core::StateVersioning::Deep);
     const core::VersionedBuffer src(
         static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
@@ -140,23 +136,16 @@ BM_StateClone(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateClone)
-    ->ArgNames({"bytes", "cow"})
-    ->Args({104, 0})
-    ->Args({104, 1})
-    ->Args({8000, 0})
-    ->Args({8000, 1})
-    ->Args({500000, 0})
-    ->Args({500000, 1});
+    ->ArgName("bytes")
+    ->Arg(104)
+    ->Arg(8000)
+    ->Arg(500000);
 
 void
 BM_StateCompare(benchmark::State &state)
 {
-    // Under CoW the clone physically shares every block, so the
-    // comparison is pure pointer equality; under Deep every byte is
-    // scanned through the word-at-a-time kernel.
-    const core::ScopedStateVersioning guard(
-        state.range(1) ? core::StateVersioning::CopyOnWrite
-                       : core::StateVersioning::Deep);
+    // The clone physically shares every block, so the comparison is
+    // pure pointer equality.
     core::VersionedBuffer a(static_cast<std::size_t>(state.range(0)));
     const std::size_t doubles =
         static_cast<std::size_t>(state.range(0)) / sizeof(double);
@@ -170,13 +159,10 @@ BM_StateCompare(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateCompare)
-    ->ArgNames({"bytes", "cow"})
-    ->Args({104, 0})
-    ->Args({104, 1})
-    ->Args({8000, 0})
-    ->Args({8000, 1})
-    ->Args({500000, 0})
-    ->Args({500000, 1});
+    ->ArgName("bytes")
+    ->Arg(104)
+    ->Arg(8000)
+    ->Arg(500000);
 
 void
 BM_StateContentHash(benchmark::State &state)

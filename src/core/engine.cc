@@ -51,8 +51,8 @@ class Emitter
         rng = ctx.rng(); // The caller's stream advances with the span.
         // Copy-on-write defers clone cost into the first writes of the
         // consuming span; charge those materialization copies back to
-        // the state-copy category so §V-B stays honest (zero under
-        // Deep, where clones copy eagerly and copiedBytes() is 0).
+        // the state-copy category so §V-B stays honest (zero for
+        // states without a block payload, whose clones copy eagerly).
         const std::uint64_t copied_delta =
             stateCopiedBytes(state) - copied_before;
         if (copied_delta > 0)

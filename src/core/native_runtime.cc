@@ -1,12 +1,9 @@
 #include "core/native_runtime.h"
 
-#include <algorithm>
 #include <chrono>
 
-#include "core/versioned_state.h"
+#include "core/stats_protocol.h"
 #include "metrics/metrics.h"
-#include "obs/abort_report.h"
-#include "obs/span_recorder.h"
 #include "trace/measured_trace.h"
 #include "util/log.h"
 #include "util/task_graph_executor.h"
@@ -16,214 +13,24 @@ namespace repro::core {
 
 namespace {
 
-using trace::TaskId;
-using trace::TaskKind;
-using trace::ThreadId;
-
-/**
- * Always-on runtime counters (metrics/metrics.h): cheap enough to
- * leave enabled on every run, unlike the opt-in measured trace.  The
- * protocol outcome counters (commits, aborts, matches) are shared by
- * both commit protocols; per-phase latencies are kept per protocol so
- * a snapshot separates barrier from pipelined behaviour.
- */
-struct RuntimeCounters
+/** Per-run instruments of NativeRuntime; the protocol steps tick the
+ *  rest of the runtime.* family (core/stats_protocol.h). */
+struct RunMetrics
 {
     metrics::Counter &statsRuns;      //!< NativeRuntime::run calls.
     metrics::Counter &sequentialRuns; //!< runSequential calls.
-    metrics::Counter &commits;        //!< Chunks committed.
-    metrics::Counter &aborts;         //!< Chunks aborted + re-executed.
-    metrics::Counter &compares;       //!< Replica validations.
-    metrics::Counter &matches;        //!< ... that accepted the chunk.
-    metrics::Counter &mismatches;     //!< ... that rejected it.
-    metrics::Counter &replicaRegens;  //!< Original states regenerated.
-    metrics::Counter &stateCopies;    //!< State clones.
-    metrics::Counter &stateCopyBytes; //!< Bytes those clones moved.
+    metrics::LatencyHistogram &run;   //!< Wall time of each STATS run.
 };
 
-RuntimeCounters &
-runtimeCounters()
+RunMetrics &
+runMetrics()
 {
     auto &reg = metrics::MetricsRegistry::global();
-    static RuntimeCounters m{reg.counter("runtime.stats_runs"),
-                             reg.counter("runtime.sequential_runs"),
-                             reg.counter("runtime.chunks_committed"),
-                             reg.counter("runtime.chunks_aborted"),
-                             reg.counter("runtime.replica_validations"),
-                             reg.counter("runtime.compare_matches"),
-                             reg.counter("runtime.compare_mismatches"),
-                             reg.counter("runtime.replica_regens"),
-                             reg.counter("runtime.state_copies"),
-                             reg.counter("runtime.state_copy_bytes")};
+    static RunMetrics m{reg.counter("runtime.stats_runs"),
+                        reg.counter("runtime.sequential_runs"),
+                        reg.histogram("runtime.run_seconds")};
     return m;
 }
-
-/** Per-phase latency histograms of one commit protocol. */
-struct PhaseHists
-{
-    metrics::LatencyHistogram &chunkBody;
-    metrics::LatencyHistogram &altProducer;
-    metrics::LatencyHistogram &stateCopy;
-    metrics::LatencyHistogram &replicaGen;
-    metrics::LatencyHistogram &compare;
-    metrics::LatencyHistogram &boundaryResolve;
-    metrics::LatencyHistogram &reexec;
-    metrics::LatencyHistogram &run;
-};
-
-const PhaseHists &
-phaseHists(bool pipelined)
-{
-    auto &reg = metrics::MetricsRegistry::global();
-    static const PhaseHists barrier{
-        reg.histogram("runtime.barrier.chunk_body_seconds"),
-        reg.histogram("runtime.barrier.alt_producer_seconds"),
-        reg.histogram("runtime.barrier.state_copy_seconds"),
-        reg.histogram("runtime.barrier.replica_gen_seconds"),
-        reg.histogram("runtime.barrier.compare_seconds"),
-        reg.histogram("runtime.barrier.boundary_resolve_seconds"),
-        reg.histogram("runtime.barrier.reexec_seconds"),
-        reg.histogram("runtime.barrier.run_seconds")};
-    static const PhaseHists piped{
-        reg.histogram("runtime.pipelined.chunk_body_seconds"),
-        reg.histogram("runtime.pipelined.alt_producer_seconds"),
-        reg.histogram("runtime.pipelined.state_copy_seconds"),
-        reg.histogram("runtime.pipelined.replica_gen_seconds"),
-        reg.histogram("runtime.pipelined.compare_seconds"),
-        reg.histogram("runtime.pipelined.boundary_resolve_seconds"),
-        reg.histogram("runtime.pipelined.reexec_seconds"),
-        reg.histogram("runtime.pipelined.run_seconds")};
-    return pipelined ? piped : barrier;
-}
-
-/** Sentinel for "no recorded task". */
-constexpr TaskId kNoTask = static_cast<TaskId>(-1);
-
-/** Commit-protocol thread id in the measured graph.  The protocol
- *  resolves boundaries in program order, so its tasks form one logical
- *  thread — executed by the caller under the barrier protocol, by pool
- *  workers under the pipelined one. */
-constexpr ThreadId kMainThread = 0;
-
-/** Seconds a finished span covered (0 for unfinished/untraced). */
-double
-spanSeconds(const obs::Span &span)
-{
-    return span.endNs > span.startNs
-               ? static_cast<double>(span.endNs - span.startNs) * 1e-9
-               : 0.0;
-}
-
-/** Fills the block-level divergence fields of @p cmp from the two
- *  states' payloads, when both are block-backed (legacy deep states
- *  keep the -1 "unknown" defaults). */
-void
-fillPayloadDiff(const State &spec, const State &candidate,
-                obs::AbortComparison &cmp)
-{
-    const VersionedBuffer *a = spec.payload();
-    const VersionedBuffer *b = candidate.payload();
-    if (!a || !b)
-        return;
-    const VersionedBuffer::DiffReport d =
-        VersionedBuffer::diffReport(*a, *b);
-    if (!d.comparable)
-        return;
-    cmp.firstDiffBlock = d.firstDiffBlock;
-    cmp.bytesCompared = d.bytesCompared;
-}
-
-/** Per-chunk speculative products, filled by the parallel phase. */
-struct ChunkProducts
-{
-    StateHandle specState;  //!< Alt-producer output (c > 0).
-    StateHandle finalState; //!< End state of the speculative body.
-    StateHandle snapshot;   //!< State at end-K (c < C-1).
-    std::vector<double> outputs; //!< Dense, indexed from chunk begin.
-
-    // Finished obs spans of the speculative execution, kept so an
-    // abort can attribute its wasted seconds (§V-B) to this chunk.
-    obs::Span altSpan;
-    obs::Span bodySpanA;
-    obs::Span bodySpanB;
-
-    /** Carried between the two body spans (the snapshot splits the
-     *  body; the RNG stream continues across the split). */
-    StateHandle working;
-    util::Rng bodyRng{0};
-    std::size_t snap = 0; //!< Snapshot input index (end-K clamped).
-
-    // Recorded task ids of this chunk's speculative execution.
-    TaskId altTask = kNoTask;      //!< AltProducer replay (c > 0).
-    TaskId specCopyTask = kNoTask; //!< Spec-state clone for the check.
-    TaskId bodyA = kNoTask;        //!< Body up to the snapshot point.
-    TaskId snapshotTask = kNoTask; //!< Snapshot clone (c < C-1).
-    TaskId bodyB = kNoTask;        //!< Body after the snapshot point.
-    TaskId bodyLast = kNoTask;     //!< Last body task (final state).
-};
-
-/** Original-state replicas of one chunk boundary. */
-struct BoundaryProducts
-{
-    std::vector<StateHandle> replicas;  //!< R-1 regenerated states.
-    std::vector<TaskId> replicaTasks;   //!< Their OriginalStateGen ids.
-    std::vector<double> replicaSeconds; //!< Regeneration wall time.
-};
-
-/**
- * Optional observation of one run: every call forwards to the
- * recorder when one is attached and is a no-op otherwise, so the
- * unrecorded hot path stays free of bookkeeping.
- */
-class Observer
-{
-  public:
-    explicit Observer(trace::MeasuredTraceRecorder *recorder)
-        : rec_(recorder)
-    {
-    }
-
-    bool on() const { return rec_ != nullptr; }
-
-    TaskId
-    begin(TaskKind kind, ThreadId thread,
-          std::int32_t chunk = trace::kNoChunk) const
-    {
-        return rec_ ? rec_->begin(kind, thread, chunk) : kNoTask;
-    }
-
-    void
-    end(TaskId id) const
-    {
-        if (rec_)
-            rec_->end(id);
-    }
-
-    TaskId
-    measured(TaskKind kind, ThreadId thread, double duration_us,
-             std::int32_t chunk = trace::kNoChunk) const
-    {
-        return rec_ ? rec_->addMeasured(kind, thread, duration_us, chunk)
-                    : kNoTask;
-    }
-
-    void
-    dep(TaskId before, TaskId after) const
-    {
-        if (rec_ && before != kNoTask && after != kNoTask)
-            rec_->addDep(before, after);
-    }
-
-    void
-    retag(TaskId id, TaskKind kind) const
-    {
-        if (rec_ && id != kNoTask)
-            rec_->retag(id, kind);
-    }
-
-  private:
-    trace::MeasuredTraceRecorder *rec_;
-};
 
 /**
  * Installs the recorder's profiler on the shared pool for the scope
@@ -253,690 +60,18 @@ class ScopedPoolProfile
     std::shared_ptr<util::ThreadPool::Profiler> previous_;
 };
 
-/**
- * Runs updates [from, to) on @p state with @p rng, charged to @p kind
- * (the category the span's computation belongs to in the overhead
- * taxonomy: ChunkBody for useful work, AltProducer for speculative
- * replays, OriginalStateGen for boundary replicas, MispecReExec for
- * abort re-execution).
- */
-void
-runSpan(const IStateModel &model, State &state, std::size_t from,
-        std::size_t to, util::Rng &rng, double *outs, TaskKind kind)
+double
+secondsSince(std::chrono::steady_clock::time_point start)
 {
-    ExecContext ctx(rng, nullptr, kind);
-    for (std::size_t i = from; i < to; ++i) {
-        const double out = model.update(state, i, ctx);
-        if (outs)
-            outs[i - from] = out;
-    }
-    rng = ctx.rng();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
 }
-
-/**
- * One NativeRuntime::run invocation: the speculative chunk executions,
- * boundary replicas, and in-order commit resolution, schedulable
- * either as the historical two-phase barrier or as a dependency-driven
- * pipeline (see native_runtime.h).  Both schedules run the *same*
- * member steps below on the same RNG streams, so their results are
- * bit-identical; only when and where each step executes differs.
- */
-class RunImpl
-{
-  public:
-    RunImpl(const IStateModel &model, const StatsConfig &config,
-            std::uint64_t seed, trace::MeasuredTraceRecorder *recorder,
-            unsigned max_threads)
-        : model_(model), obs_(recorder), base_(seed),
-          n_(model.numInputs()), C_(config.numChunks),
-          K_(config.altWindowK), R_(config.numOriginalStates),
-          maxThreads_(max_threads), pool_(util::ThreadPool::global()),
-          poolProfile_(pool_, recorder), met_(runtimeCounters()),
-          ph_(&phaseHists(false)),
-          stateBytes_(model.stateSizeBytes())
-    {
-        setupTask_ = obs_.begin(TaskKind::Setup, kMainThread);
-        begin_.resize(C_);
-        end_.resize(C_);
-        for (unsigned c = 0; c < C_; ++c) {
-            begin_[c] = n_ * c / C_;
-            end_[c] = n_ * (c + 1) / C_;
-        }
-        result_.outputs.assign(n_, 0.0);
-        chunks_.resize(C_);
-        boundaries_.resize(C_ - 1);
-        for (BoundaryProducts &bp : boundaries_) {
-            bp.replicas.resize(R_ >= 1 ? R_ - 1 : 0);
-            bp.replicaTasks.assign(bp.replicas.size(), kNoTask);
-            bp.replicaSeconds.assign(bp.replicas.size(), 0.0);
-        }
-        obs_.end(setupTask_);
-    }
-
-    /**
-     * Two-phase schedule: all chunk bodies behind one parallelFor
-     * barrier, then each boundary regenerates its replicas and
-     * resolves on the calling thread.
-     */
-    NativeRuntime::Result
-    runBarrier()
-    {
-        double join_wait = 0.0;
-        pool_.parallelFor(
-            C_,
-            [&](std::size_t chunk) {
-                const unsigned c = static_cast<unsigned>(chunk);
-                speculateChunkToSnapshot(c);
-                if (c + 1 < C_)
-                    speculateChunkAfterSnapshot(c);
-            },
-            maxThreads_, 0, obs_.on() ? &join_wait : nullptr);
-        // The join is a real scheduling constraint of this protocol:
-        // no commit work starts before *every* chunk body finished.
-        // Record it as a Sync task whose cost is the caller's measured
-        // wait at the barrier, fed by every chunk body and gating the
-        // commit phase, so the measured graph mirrors the barrier, not
-        // the pipeline (the what-if replay would otherwise credit the
-        // barrier with overlap it never had, and the §V-B ladder's
-        // synchronization step would have nothing to remove).  The
-        // pipelined schedule has no counterpart: its terminal wait
-        // gates no work, and commit checks fire from their own
-        // dependencies.
-        if (obs_.on()) {
-            const TaskId sync = obs_.measured(TaskKind::Sync, kMainThread,
-                                              join_wait * 1e6);
-            for (const ChunkProducts &cp : chunks_)
-                obs_.dep(cp.bodyLast, sync);
-            joinSources_.assign(1, sync);
-            lastMainTask_ = sync;
-        }
-        for (unsigned c = 0; c + 1 < C_; ++c)
-            resolveBoundary(c);
-        return std::move(result_);
-    }
-
-    /**
-     * Dependency-driven schedule: chunk spans, eager replicas, and
-     * boundary resolutions become TaskGraphExecutor nodes that fire
-     * as soon as their declared predecessors finish.  Boundary c
-     * needs chunks c and c+1 plus its replicas — never the chunks
-     * beyond c+1, so commits overlap with downstream speculation.
-     */
-    NativeRuntime::Result
-    runPipelined()
-    {
-        pipelined_ = true;
-        ph_ = &phaseHists(true);
-        using NodeId = util::TaskGraphExecutor::NodeId;
-        util::TaskGraphExecutor exec(pool_, maxThreads_);
-
-        // Chunk c splits at its snapshot so boundary-c replicas can
-        // launch from the snapshot while the chunk tail still runs.
-        std::vector<NodeId> head(C_), tail(C_);
-        for (unsigned c = 0; c < C_; ++c) {
-            head[c] =
-                exec.add([this, c] { speculateChunkToSnapshot(c); });
-            tail[c] = c + 1 < C_
-                          ? exec.add(
-                                [this, c] {
-                                    speculateChunkAfterSnapshot(c);
-                                },
-                                {head[c]})
-                          : head[c];
-        }
-
-        // Eager replicas: regenerate boundary c's original states from
-        // chunk c's *speculative* snapshot, concurrently with every
-        // chunk body still in flight.
-        std::vector<std::vector<NodeId>> replicaNodes(C_ - 1);
-        for (unsigned c = 0; c + 1 < C_; ++c) {
-            for (unsigned rep = 0; rep + 1 < R_; ++rep) {
-                replicaNodes[c].push_back(exec.add(
-                    [this, c, rep] { generateEagerReplica(c, rep); },
-                    {head[c]}));
-            }
-        }
-
-        // Boundary c fires once chunks c (via the boundary chain) and
-        // c+1 plus boundary-c replicas are done; the chain keeps
-        // commits in program order.
-        NodeId prev_boundary = 0;
-        for (unsigned c = 0; c + 1 < C_; ++c) {
-            std::vector<NodeId> deps;
-            deps.push_back(c == 0 ? tail[0] : prev_boundary);
-            deps.push_back(tail[c + 1]);
-            deps.insert(deps.end(), replicaNodes[c].begin(),
-                        replicaNodes[c].end());
-            prev_boundary =
-                exec.add([this, c] { resolveBoundary(c); }, deps);
-        }
-
-        exec.wait();
-        return std::move(result_);
-    }
-
-  private:
-    /** Clones @p source, charging the copy to the always-on metrics
-     *  (count, bytes, latency).  All protocol state copies go through
-     *  here; the recorder's StateCopy tasks stay at the call sites.
-     *  Block-state payloads report the bytes the clone actually moved
-     *  (zero for a pure block-sharing copy-on-write clone). */
-    StateHandle
-    cloneCounted(const State &source)
-    {
-        const metrics::ScopedTimer timer(ph_->stateCopy);
-        met_.stateCopies.inc();
-        StateHandle copy = source.clone();
-        met_.stateCopyBytes.inc(
-            copy->payload() ? copy->payload()->creationStats().bytesCopied
-                            : stateBytes_);
-        return copy;
-    }
-
-    ThreadId
-    chunkThread(unsigned c) const
-    {
-        return 1 + c;
-    }
-
-    ThreadId
-    replicaThread(unsigned c, unsigned rep) const
-    {
-        return 1 + C_ + c * (R_ >= 1 ? R_ - 1 : 0) + rep;
-    }
-
-    /** Alt-producer replay, spec-state copy, body up to the snapshot,
-     *  and the snapshot clone of chunk @p c (the whole body when the
-     *  chunk is last and has no snapshot). */
-    void
-    speculateChunkToSnapshot(unsigned c)
-    {
-        const ThreadId th = chunkThread(c);
-        ChunkProducts &cp = chunks_[c];
-        StateHandle working;
-        if (c == 0) {
-            working = model_.initialState();
-        } else {
-            // Alternative producer (same streams as the engine:
-            // split(2000 + c)).
-            working = model_.coldState();
-            util::Rng alt_rng = base_.split(2000 + c);
-            cp.altTask = obs_.begin(TaskKind::AltProducer, th,
-                                    static_cast<std::int32_t>(c));
-            obs_.dep(setupTask_, cp.altTask);
-            cp.altSpan = spans_.start(
-                obs::SpanKind::AltProducer, 0, 0,
-                static_cast<std::int64_t>(c),
-                static_cast<std::int64_t>(begin_[c]),
-                static_cast<std::uint32_t>(end_[c] - begin_[c]),
-                static_cast<std::int64_t>(K_));
-            {
-                const metrics::ScopedTimer timer(ph_->altProducer);
-                runSpan(model_, *working, begin_[c] - K_, begin_[c],
-                        alt_rng, nullptr, TaskKind::AltProducer);
-            }
-            spans_.finish(cp.altSpan);
-            obs_.end(cp.altTask);
-            cp.specCopyTask = obs_.begin(TaskKind::StateCopy, th,
-                                         static_cast<std::int32_t>(c));
-            cp.specState = cloneCounted(*working);
-            obs_.end(cp.specCopyTask);
-        }
-
-        const bool needs_snapshot = c + 1 < C_;
-        cp.snap = needs_snapshot ? std::max(begin_[c], end_[c] - K_)
-                                 : end_[c];
-        cp.bodyRng = base_.split(1000 + c);
-        cp.outputs.resize(end_[c] - begin_[c]);
-        cp.bodyA = obs_.begin(TaskKind::ChunkBody, th,
-                              static_cast<std::int32_t>(c));
-        if (c == 0)
-            obs_.dep(setupTask_, cp.bodyA);
-        cp.bodySpanA = spans_.start(
-            obs::SpanKind::ChunkBody, cp.altSpan.id, 0,
-            static_cast<std::int64_t>(c),
-            static_cast<std::int64_t>(begin_[c]),
-            static_cast<std::uint32_t>(cp.snap - begin_[c]));
-        {
-            const metrics::ScopedTimer timer(ph_->chunkBody);
-            runSpan(model_, *working, begin_[c], cp.snap, cp.bodyRng,
-                    cp.outputs.data(), TaskKind::ChunkBody);
-        }
-        spans_.finish(cp.bodySpanA);
-        obs_.end(cp.bodyA);
-        cp.bodyLast = cp.bodyA;
-        if (needs_snapshot) {
-            cp.snapshotTask = obs_.begin(TaskKind::StateCopy, th,
-                                         static_cast<std::int32_t>(c));
-            cp.snapshot = cloneCounted(*working);
-            obs_.end(cp.snapshotTask);
-            cp.working = std::move(working);
-        } else {
-            cp.finalState = std::move(working);
-        }
-    }
-
-    /** Body of chunk @p c after the snapshot point (continues the
-     *  chunk's RNG stream).  Requires speculateChunkToSnapshot(c). */
-    void
-    speculateChunkAfterSnapshot(unsigned c)
-    {
-        const ThreadId th = chunkThread(c);
-        ChunkProducts &cp = chunks_[c];
-        cp.bodyB = obs_.begin(TaskKind::ChunkBody, th,
-                              static_cast<std::int32_t>(c));
-        cp.bodySpanB = spans_.start(
-            obs::SpanKind::ChunkBody, cp.bodySpanA.id, 0,
-            static_cast<std::int64_t>(c),
-            static_cast<std::int64_t>(cp.snap),
-            static_cast<std::uint32_t>(end_[c] - cp.snap));
-        {
-            const metrics::ScopedTimer timer(ph_->chunkBody);
-            runSpan(model_, *cp.working, cp.snap, end_[c], cp.bodyRng,
-                    cp.outputs.data() + (cp.snap - begin_[c]),
-                    TaskKind::ChunkBody);
-        }
-        spans_.finish(cp.bodySpanB);
-        obs_.end(cp.bodyB);
-        cp.bodyLast = cp.bodyB;
-        cp.finalState = std::move(cp.working);
-    }
-
-    /** One eagerly launched replica of boundary @p c, regenerated
-     *  from chunk c's speculative snapshot (pipelined schedule). */
-    void
-    generateEagerReplica(unsigned c, unsigned rep)
-    {
-        const ChunkProducts &cp = chunks_[c];
-        regenerateReplica(c, rep, *cp.snapshot, cp.snapshotTask,
-                          cp.snap);
-    }
-
-    /** Clones @p source and replays the boundary inputs of chunk
-     *  @p c on it (streams: split(3000 + c*128 + rep), exactly the
-     *  engine's), storing the replica for the commit check.
-     *  @p serialize_after: extra recorded predecessors mirroring
-     *  schedule constraints beyond the data dependency. */
-    void
-    regenerateReplica(unsigned c, unsigned rep, const State &source,
-                      TaskId source_task, std::size_t snap,
-                      const std::vector<TaskId> &serialize_after = {})
-    {
-        const ThreadId rth = replicaThread(c, rep);
-        const TaskId rep_copy = obs_.begin(
-            TaskKind::StateCopy, rth, static_cast<std::int32_t>(c));
-        obs_.dep(source_task, rep_copy);
-        for (const TaskId before : serialize_after)
-            obs_.dep(before, rep_copy);
-        StateHandle replica = cloneCounted(source);
-        obs_.end(rep_copy);
-        const TaskId rep_task =
-            obs_.begin(TaskKind::OriginalStateGen, rth,
-                       static_cast<std::int32_t>(c));
-        obs::Span repSpan = spans_.start(
-            obs::SpanKind::ReplicaRegen, 0, 0,
-            static_cast<std::int64_t>(c),
-            static_cast<std::int64_t>(snap),
-            static_cast<std::uint32_t>(end_[c] - snap),
-            static_cast<std::int64_t>(rep));
-        util::Rng rng = base_.split(3000 + c * 128 + rep);
-        met_.replicaRegens.inc();
-        {
-            const metrics::ScopedTimer timer(ph_->replicaGen);
-            runSpan(model_, *replica, snap, end_[c], rng, nullptr,
-                    TaskKind::OriginalStateGen);
-        }
-        spans_.finish(repSpan);
-        obs_.end(rep_task);
-        BoundaryProducts &bp = boundaries_[c];
-        bp.replicaTasks[rep] = rep_task;
-        bp.replicaSeconds[rep] = spanSeconds(repSpan);
-        bp.replicas[rep] = std::move(replica);
-    }
-
-    /** Regenerates every boundary-@p c replica from the *committed*
-     *  snapshot, in parallel (barrier schedule, and the pipelined
-     *  abort path where the eager replicas were invalidated). */
-    void
-    regenerateReplicasFromCommitted(unsigned c)
-    {
-        if (R_ <= 1)
-            return;
-        // Under the barrier schedule these replicas launch only after
-        // the phase-1 join (boundary 0) or after the previous
-        // boundary resolved — record that serialization so the
-        // measured graph stays faithful to the schedule.  Under the
-        // pipelined schedule the committed-snapshot dependency already
-        // is the true constraint.
-        std::vector<TaskId> serialize_after;
-        if (!pipelined_ && lastMainTask_ != kNoTask)
-            serialize_after.push_back(lastMainTask_);
-        const std::size_t snap = std::max(begin_[c], end_[c] - K_);
-        pool_.parallelFor(
-            R_ - 1,
-            [&](std::size_t rep) {
-                regenerateReplica(c, static_cast<unsigned>(rep),
-                                  *committedSnapshot_,
-                                  committedSnapshotTask_, snap,
-                                  serialize_after);
-            },
-            maxThreads_);
-    }
-
-    /**
-     * Resolves commit boundary @p c in program order: ensures valid
-     * replicas, compares chunk c+1's speculative state against each
-     * original state until a match (paper Fig. 6), and commits or
-     * re-executes.  Under the barrier schedule this runs on the
-     * caller; under the pipelined one, on a pool worker whose node
-     * fired when chunks c, c+1, and the boundary replicas finished.
-     */
-    void
-    resolveBoundary(unsigned c)
-    {
-        const metrics::ScopedTimer boundary_timer(ph_->boundaryResolve);
-        if (c == 0) {
-            // Chunk 0 runs from the program's initial state — it is
-            // never speculative, so its products commit as they are.
-            committedFinal_ = chunks_[0].finalState.get();
-            committedFinalTask_ = chunks_[0].bodyLast;
-            committedSnapshot_ = chunks_[0].snapshot.get();
-            committedSnapshotTask_ = chunks_[0].snapshotTask;
-            committedSpeculative_ = true;
-            std::copy(chunks_[0].outputs.begin(),
-                      chunks_[0].outputs.end(),
-                      result_.outputs.begin() + begin_[0]);
-            obs::Span commit0 = spans_.start(
-                obs::SpanKind::Commit, chunks_[0].bodySpanA.id, 0, 0,
-                static_cast<std::int64_t>(begin_[0]),
-                static_cast<std::uint32_t>(end_[0] - begin_[0]), -1);
-            spans_.finish(commit0);
-        }
-
-        BoundaryProducts &bp = boundaries_[c];
-        if (!(pipelined_ && committedSpeculative_)) {
-            // Barrier schedule: replicas are always generated here,
-            // from the committed snapshot.  Pipelined schedule: only
-            // when chunk c was re-executed after an abort — its eager
-            // replicas grew from a snapshot that never became real
-            // state, so they are wasted speculation (retagged like the
-            // engine retags aborted bodies) and regenerated from the
-            // re-executed snapshot with the same RNG streams.
-            for (const TaskId stale : bp.replicaTasks)
-                obs_.retag(stale, TaskKind::MispecReExec);
-            regenerateReplicasFromCommitted(c);
-        }
-
-        // Commit check of chunk c+1: compare its speculative state
-        // against each original state until a match (paper Fig. 6).
-        ChunkProducts &nxt = chunks_[c + 1];
-        const auto compare = [&](const State &original, bool first) {
-            const TaskId cmp =
-                obs_.begin(TaskKind::StateCompare, kMainThread,
-                           static_cast<std::int32_t>(c));
-            if (first) {
-                obs_.dep(committedFinalTask_, cmp);
-                obs_.dep(nxt.specCopyTask, cmp);
-                for (const TaskId rt : bp.replicaTasks)
-                    obs_.dep(rt, cmp);
-                // Barrier schedule, first boundary: the commit phase
-                // starts only after the phase-1 join — joinSources_
-                // holds its Sync task (empty under the pipeline).
-                for (const TaskId js : joinSources_)
-                    obs_.dep(js, cmp);
-            }
-            met_.compares.inc();
-            bool matched;
-            {
-                const metrics::ScopedTimer timer(ph_->compare);
-                matched = model_.matches(*nxt.specState, original);
-            }
-            (matched ? met_.matches : met_.mismatches).inc();
-            obs_.end(cmp);
-            lastMainTask_ = cmp;
-            return matched;
-        };
-        obs::Span valSpan = spans_.start(
-            obs::SpanKind::Validation, nxt.bodySpanA.id, 0,
-            static_cast<std::int64_t>(c + 1),
-            static_cast<std::int64_t>(begin_[c + 1]),
-            static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
-        bool matched = compare(*committedFinal_, true);
-        const bool matched_first = matched;
-        std::int64_t matchedCandidate = matched ? -1 : -2;
-        std::int64_t candidatesCompared = 1;
-        for (unsigned rep = 0; !matched && rep + 1 < R_; ++rep) {
-            matched = compare(*bp.replicas[rep], false);
-            ++candidatesCompared;
-            if (matched)
-                matchedCandidate = static_cast<std::int64_t>(rep);
-        }
-        valSpan.detail = candidatesCompared;
-        spans_.finish(valSpan);
-
-        if (matched) {
-            ++result_.commits;
-            std::copy(nxt.outputs.begin(), nxt.outputs.end(),
-                      result_.outputs.begin() + begin_[c + 1]);
-            committedOwned_.reset();
-            committedSnapshotOwned_.reset();
-            committedFinal_ = nxt.finalState.get();
-            committedFinalTask_ = nxt.bodyLast;
-            committedSnapshot_ = nxt.snapshot.get();
-            committedSnapshotTask_ = nxt.snapshotTask;
-            committedSpeculative_ = true;
-            obs::Span commit = spans_.start(
-                obs::SpanKind::Commit, valSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]),
-                matchedCandidate);
-            spans_.finish(commit);
-        } else {
-            obs::Span abortSpan = spans_.start(
-                obs::SpanKind::Abort, valSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
-            if (obs::enabled()) {
-                // Root-cause attribution while every candidate is
-                // still alive: where each comparison diverged, and
-                // what the abort cost in §V-B terms (the speculated
-                // body + alt-producer work is mispeculation; replicas
-                // and compares were extra computation either way).
-                obs::AbortReport report;
-                report.session = 0;
-                report.chunk = c + 1;
-                report.firstInput = begin_[c + 1];
-                report.inputCount = end_[c + 1] - begin_[c + 1];
-                report.spanId = abortSpan.id;
-                report.wastedBodySeconds = spanSeconds(nxt.bodySpanA) +
-                                           spanSeconds(nxt.bodySpanB);
-                report.wastedAltSeconds = spanSeconds(nxt.altSpan);
-                for (const double rs : bp.replicaSeconds)
-                    report.wastedReplicaSeconds += rs;
-                report.validateSeconds = spanSeconds(valSpan);
-                obs::AbortComparison first;
-                first.candidate = -1;
-                first.matched = matched_first;
-                fillPayloadDiff(*nxt.specState, *committedFinal_,
-                                first);
-                report.comparisons.push_back(first);
-                for (std::size_t rep = 0; rep < bp.replicas.size();
-                     ++rep) {
-                    obs::AbortComparison cmp;
-                    cmp.candidate = static_cast<int>(rep);
-                    cmp.matched = false;
-                    fillPayloadDiff(*nxt.specState, *bp.replicas[rep],
-                                    cmp);
-                    report.comparisons.push_back(cmp);
-                }
-                // Headline: the candidate the byte walk got furthest
-                // into before diverging; ties go to the later
-                // candidate so a replica is named over the committed
-                // final.
-                std::uint64_t best = 0;
-                bool haveBest = false;
-                for (const obs::AbortComparison &cmp :
-                     report.comparisons) {
-                    report.bytesCompared += cmp.bytesCompared;
-                    if (!haveBest || cmp.bytesCompared >= best) {
-                        best = cmp.bytesCompared;
-                        haveBest = true;
-                        report.mismatchCandidate = cmp.candidate;
-                        report.firstDiffBlock = cmp.firstDiffBlock;
-                    }
-                }
-                obs::AbortLog::global().record(std::move(report));
-            }
-            obs::Span reSpan = spans_.start(
-                obs::SpanKind::ReExec, abortSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]));
-            reexecuteChunk(c);
-            spans_.finish(reSpan);
-            obs::Span commit = spans_.start(
-                obs::SpanKind::Commit, abortSpan.id, 0,
-                static_cast<std::int64_t>(c + 1),
-                static_cast<std::int64_t>(begin_[c + 1]),
-                static_cast<std::uint32_t>(end_[c + 1] - begin_[c + 1]),
-                -2);
-            spans_.finish(commit);
-            spans_.finish(abortSpan);
-        }
-
-        // The boundary is resolved; its replicas are dead weight now
-        // (eager replicas of *future* boundaries stay alive — that
-        // memory is the price of the overlap).  The join edges were
-        // consumed by boundary 0; later boundaries serialize on
-        // lastMainTask_ instead.
-        bp.replicas.clear();
-        bp.replicaTasks.clear();
-        joinSources_.clear();
-    }
-
-    /** Abort at boundary @p c: re-execute chunk c+1 from the
-     *  committed final state (streams: split(5000 + c + 1)).  The
-     *  wasted speculative body work is re-attributed to
-     *  mispeculation, exactly as the engine retags it. */
-    void
-    reexecuteChunk(unsigned c)
-    {
-        ChunkProducts &nxt = chunks_[c + 1];
-        ++result_.aborts;
-        obs_.retag(nxt.bodyA, TaskKind::MispecReExec);
-        obs_.retag(nxt.bodyB, TaskKind::MispecReExec);
-        const TaskId redo_copy =
-            obs_.begin(TaskKind::StateCopy, kMainThread,
-                       static_cast<std::int32_t>(c + 1));
-        obs_.dep(committedFinalTask_, redo_copy);
-        StateHandle redo = cloneCounted(*committedFinal_);
-        obs_.end(redo_copy);
-        util::Rng redo_rng = base_.split(5000 + c + 1);
-        const bool needs_snapshot = c + 2 < C_;
-        const std::size_t redo_snap =
-            needs_snapshot ? std::max(begin_[c + 1], end_[c + 1] - K_)
-                           : end_[c + 1];
-        const TaskId redo_a =
-            obs_.begin(TaskKind::MispecReExec, kMainThread,
-                       static_cast<std::int32_t>(c + 1));
-        {
-            const metrics::ScopedTimer timer(ph_->reexec);
-            runSpan(model_, *redo, begin_[c + 1], redo_snap, redo_rng,
-                    result_.outputs.data() + begin_[c + 1],
-                    TaskKind::MispecReExec);
-        }
-        obs_.end(redo_a);
-        committedFinalTask_ = redo_a;
-        if (needs_snapshot) {
-            const TaskId redo_snap_copy =
-                obs_.begin(TaskKind::StateCopy, kMainThread,
-                           static_cast<std::int32_t>(c + 1));
-            committedSnapshotOwned_ = cloneCounted(*redo);
-            obs_.end(redo_snap_copy);
-            committedSnapshot_ = committedSnapshotOwned_.get();
-            committedSnapshotTask_ = redo_snap_copy;
-            const TaskId redo_b =
-                obs_.begin(TaskKind::MispecReExec, kMainThread,
-                           static_cast<std::int32_t>(c + 1));
-            {
-                const metrics::ScopedTimer timer(ph_->reexec);
-                runSpan(model_, *redo, redo_snap, end_[c + 1], redo_rng,
-                        result_.outputs.data() + redo_snap,
-                        TaskKind::MispecReExec);
-            }
-            obs_.end(redo_b);
-            committedFinalTask_ = redo_b;
-        } else {
-            committedSnapshotOwned_.reset();
-            committedSnapshot_ = nullptr;
-            committedSnapshotTask_ = kNoTask;
-        }
-        committedOwned_ = std::move(redo);
-        committedFinal_ = committedOwned_.get();
-        committedSpeculative_ = false;
-        lastMainTask_ = committedFinalTask_;
-    }
-
-    const IStateModel &model_;
-    const Observer obs_;
-    const util::Rng base_;
-    const std::size_t n_;
-    const unsigned C_, K_, R_;
-    const unsigned maxThreads_;
-    util::ThreadPool &pool_;
-    const ScopedPoolProfile poolProfile_;
-    RuntimeCounters &met_;
-    /** Batch spans record as roots of session 0 (obs/span_recorder.h);
-     *  purely observational — never changes outputs. */
-    obs::SpanRecorder &spans_ = obs::SpanRecorder::global();
-    const PhaseHists *ph_; //!< Switched to the pipelined set by
-                           //!< runPipelined().
-    const std::size_t stateBytes_;
-
-    TaskId setupTask_ = kNoTask;
-    std::vector<std::size_t> begin_, end_;
-    std::vector<ChunkProducts> chunks_;
-    std::vector<BoundaryProducts> boundaries_;
-    NativeRuntime::Result result_;
-    bool pipelined_ = false;
-
-    // Committed products of the most recently resolved chunk.  Only
-    // the boundary-resolution chain touches these; under the pipelined
-    // schedule the TaskGraphExecutor's dependency handoff orders that
-    // chain across workers.
-    const State *committedFinal_ = nullptr;
-    StateHandle committedOwned_;
-    const State *committedSnapshot_ = nullptr;
-    StateHandle committedSnapshotOwned_;
-    TaskId committedFinalTask_ = kNoTask;
-    TaskId committedSnapshotTask_ = kNoTask;
-    bool committedSpeculative_ = true;
-
-    // Barrier-schedule serialization, recorded so the measured graph
-    // mirrors that schedule: the phase-1 join (all chunk bodies →
-    // first commit task) and the previous boundary's last
-    // commit-protocol task (→ this boundary's replica launches).
-    // Both stay empty/kNoTask under the pipelined schedule, whose
-    // explicit data dependencies are its true constraints.
-    std::vector<TaskId> joinSources_;
-    TaskId lastMainTask_ = kNoTask;
-};
 
 } // namespace
 
-const char *
-commitProtocolName(CommitProtocol protocol)
-{
-    return protocol == CommitProtocol::Pipelined ? "pipelined"
-                                                 : "barrier";
-}
-
-NativeRuntime::NativeRuntime(unsigned max_threads,
-                             CommitProtocol protocol)
-    : maxThreads(util::ThreadPool::defaultThreadCount(max_threads)),
-      protocol_(protocol)
+NativeRuntime::NativeRuntime(unsigned max_threads)
+    : maxThreads(util::ThreadPool::defaultThreadCount(max_threads))
 {
 }
 
@@ -944,21 +79,19 @@ NativeRuntime::Result
 NativeRuntime::runSequential(const IStateModel &model, std::uint64_t seed,
                              trace::MeasuredTraceRecorder *recorder) const
 {
-    runtimeCounters().sequentialRuns.inc();
-    const Observer obs(recorder);
+    runMetrics().sequentialRuns.inc();
     const auto start = std::chrono::steady_clock::now();
     Result result;
     result.outputs.resize(model.numInputs());
     StateHandle state = model.initialState();
     util::Rng rng = util::Rng(seed).split(1);
-    const TaskId body = obs.begin(TaskKind::ChunkBody, kMainThread);
-    runSpan(model, *state, 0, model.numInputs(), rng,
-            result.outputs.data(), TaskKind::ChunkBody);
-    obs.end(body);
-    result.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    const trace::TaskId body =
+        recorder ? recorder->begin(trace::TaskKind::ChunkBody, 0) : kNoTask;
+    runUpdates(model, *state, 0, model.numInputs(), rng,
+               result.outputs.data(), trace::TaskKind::ChunkBody);
+    if (recorder)
+        recorder->end(body);
+    result.wallSeconds = secondsSince(start);
     return result;
 }
 
@@ -977,19 +110,73 @@ NativeRuntime::run(const IStateModel &model, const StatsConfig &config,
     }
 
     const auto start = std::chrono::steady_clock::now();
-    runtimeCounters().statsRuns.inc();
-    RunImpl impl(model, config, seed, recorder, maxThreads);
-    Result result = protocol_ == CommitProtocol::Pipelined
-                        ? impl.runPipelined()
-                        : impl.runBarrier();
-    result.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    runtimeCounters().commits.inc(result.commits);
-    runtimeCounters().aborts.inc(result.aborts);
-    phaseHists(protocol_ == CommitProtocol::Pipelined)
-        .run.observe(result.wallSeconds);
+    runMetrics().statsRuns.inc();
+    util::ThreadPool &pool = util::ThreadPool::global();
+    const ScopedPoolProfile profile(pool, recorder);
+    const std::size_t n = model.numInputs();
+    const unsigned C = config.numChunks;
+    const unsigned replicas = config.numOriginalStates - 1;
+
+    StatsProtocol protocol(model, seed, &pool, maxThreads);
+    protocol.record(recorder, C, replicas);
+    std::vector<ChunkRun> chunks;
+    chunks.reserve(C);
+    for (unsigned c = 0; c < C; ++c)
+        chunks.emplace_back(c, n * c / C, n * (c + 1) / C,
+                            config.altWindowK);
+    std::vector<Replicas> boundaries;
+    boundaries.reserve(C - 1);
+    for (unsigned c = 0; c + 1 < C; ++c)
+        boundaries.emplace_back(replicas);
+
+    using NodeId = util::TaskGraphExecutor::NodeId;
+    util::TaskGraphExecutor exec(pool, maxThreads);
+    std::vector<NodeId> head(C), tail(C);
+    for (unsigned c = 0; c < C; ++c) {
+        head[c] = exec.add([&, c] { protocol.speculateHead(chunks[c]); });
+        tail[c] = exec.add([&, c] { protocol.speculateTail(chunks[c]); },
+                           {head[c]});
+    }
+    // Eager replicas: boundary c's grow from chunk c's speculative
+    // snapshot while every later chunk body is still in flight.
+    std::vector<std::vector<NodeId>> eager(C - 1);
+    for (unsigned c = 0; c + 1 < C; ++c) {
+        for (unsigned rep = 0; rep < replicas; ++rep) {
+            eager[c].push_back(exec.add(
+                [&, c, rep] {
+                    protocol.growReplica(chunks[c], rep, boundaries[c]);
+                },
+                {head[c]}));
+        }
+    }
+    // Boundary c fires once chunk c is committed (the chain keeps
+    // commits in program order), chunk c+1 finished, and boundary c's
+    // replicas exist — never waiting for the chunks beyond c+1.
+    NodeId prev = tail[0];
+    for (unsigned c = 0; c + 1 < C; ++c) {
+        std::vector<NodeId> deps{prev, tail[c + 1]};
+        deps.insert(deps.end(), eager[c].begin(), eager[c].end());
+        prev = exec.add(
+            [&, c] {
+                if (c == 0)
+                    protocol.commitFirst(chunks[0]);
+                else if (!protocol.committedSpeculatively())
+                    protocol.regrowReplicas(boundaries[c]);
+                protocol.resolve(chunks[c + 1], boundaries[c]);
+            },
+            deps);
+    }
+    exec.wait();
+
+    Result result;
+    result.outputs.reserve(n);
+    for (const ChunkRun &chunk : chunks)
+        result.outputs.insert(result.outputs.end(), chunk.outputs.begin(),
+                              chunk.outputs.end());
+    result.commits = protocol.commits();
+    result.aborts = protocol.aborts();
+    result.wallSeconds = secondsSince(start);
+    runMetrics().run.observe(result.wallSeconds);
     return result;
 }
 

@@ -1,46 +1,33 @@
 /**
  * @file
- * Native (std::thread) STATS runtime.
+ * Native (std::thread) STATS runtime: the batch schedule of the
+ * protocol core.
  *
  * The engine (engine.h) executes the STATS model logically and hands
  * timing to the platform simulator — that is what every figure uses,
  * because this host machine has one core (DESIGN.md §2).  NativeRuntime
- * executes the same protocol with real threads: chunks run
- * speculatively in parallel, original states are regenerated by replica
- * threads, and the commit protocol resolves boundaries in program
- * order.
+ * executes the same protocol with real threads.  Every protocol step —
+ * alternative producer, speculative body split at its snapshot,
+ * replica regeneration, the ordered commit check, commit, abort and
+ * re-execution — is core::StatsProtocol's (core/stats_protocol.h);
+ * this file only schedules those steps for a whole input vector,
+ * whose boundaries n*c/C are known up front.
  *
- * The runtime derives every RNG stream exactly as the engine does, so
- * for any (model, config, seed) its outputs, commit decisions, and
- * abort count are bit-identical to Engine::runStats — the property the
- * cross-validation tests in tests/core enforce.  On a multi-core host
- * it also provides genuine wall-clock speedup.
- *
- * Chunk workers and replica regeneration run on the process-wide
- * util::ThreadPool (shared with the autotuner) rather than spawning
- * std::thread per round; max_threads only caps how many pool
- * executors a run may occupy concurrently.
- *
- * Two commit protocols are available (CommitProtocol):
- *
- *  - Barrier: the historical two-phase structure — every chunk body
- *    finishes before the first commit check, each boundary then
- *    regenerates its replicas and resolves on the main thread.  Kept
- *    so bench/native_overheads can quantify the synchronization and
- *    imbalance loss the pipeline removes.
- *  - Pipelined (default): a dependency-driven pipeline on
- *    util::TaskGraphExecutor.  Boundary c resolves as soon as chunks
- *    c and c+1 plus boundary-c's replicas are ready — not after *all*
- *    chunks; replica regeneration for boundary c launches eagerly
- *    from chunk c's *speculative* snapshot while later chunk bodies
- *    are still running; comparisons and abort re-execution run on
- *    pool workers, never the caller.  Eager replicas are valid
- *    because on commit the committed snapshot *is* the speculative
- *    snapshot; when chunk c instead aborted, its eager replicas are
- *    discarded (retagged MispecReExec in the measured trace) and
- *    regenerated from the re-executed snapshot with the same RNG
- *    streams, so outputs, commits, and aborts stay bit-identical to
- *    Engine::runStats in both protocols (DESIGN.md §12).
+ * The schedule is a dependency graph on util::TaskGraphExecutor over
+ * the process-wide util::ThreadPool (shared with the autotuner and the
+ * serving runtime; max_threads caps how many pool executors a run
+ * occupies).  Each chunk is two nodes split at its snapshot (head,
+ * tail); boundary c's R-1 replicas launch eagerly from chunk c's
+ * speculative snapshot as soon as the head finished, while later
+ * chunk bodies still run; and boundary c resolves in a chain node
+ * that fires when chunks c and c+1 plus those replicas are ready —
+ * never after *all* chunks.  When chunk c was re-executed instead of
+ * committed, its eager replicas grew from a snapshot that never became
+ * real state: the resolve node regrows them from the re-executed
+ * snapshot with the same RNG streams (and the measured trace retags
+ * the discarded ones MispecReExec).  Outputs, commits, and aborts are
+ * therefore bit-identical to Engine::runStats for any (model, config,
+ * seed) — the cross-validation tests in tests/core enforce it.
  *
  * Passing a trace::MeasuredTraceRecorder to run()/runSequential()
  * additionally emits a *measured* task graph of the execution —
@@ -48,9 +35,9 @@
  * copies, replica regeneration, comparisons, abort re-execution)
  * becomes a correctly-kinded trace::Task whose work is its measured
  * wall-clock duration in microseconds, with dependency edges
- * mirroring the commit protocol.  Recording never changes results:
- * outputs, commits, and aborts are bit-identical with and without a
- * recorder (enforced by tests/core).
+ * mirroring the protocol.  Recording never changes results: outputs,
+ * commits, and aborts are bit-identical with and without a recorder
+ * (enforced by tests/core).
  */
 
 #ifndef REPRO_CORE_NATIVE_RUNTIME_H
@@ -67,22 +54,6 @@ class MeasuredTraceRecorder;
 } // namespace repro::trace
 
 namespace repro::core {
-
-/** How NativeRuntime::run schedules the commit protocol. */
-enum class CommitProtocol : std::uint8_t
-{
-    /** Two-phase: all chunk bodies, then boundary-by-boundary commit
-     *  resolution (replica regeneration, comparisons, and abort
-     *  re-execution) driven from the calling thread. */
-    Barrier,
-    /** Dependency-driven: each boundary fires when its inputs are
-     *  ready, replicas regenerate eagerly from speculative snapshots,
-     *  and all protocol work runs on the shared pool. */
-    Pipelined,
-};
-
-/** Human-readable protocol name ("barrier" / "pipelined"). */
-const char *commitProtocolName(CommitProtocol protocol);
 
 /**
  * Real-thread executor of the STATS execution model.
@@ -103,16 +74,8 @@ class NativeRuntime
      * @param max_threads Cap on concurrently active workers; 0 is
      *        resolved by util::ThreadPool::defaultThreadCount (the
      *        hardware concurrency, or 2 when it cannot be queried).
-     * @param protocol Commit-protocol schedule; results are
-     *        bit-identical either way (tests/core enforce it), only
-     *        the overlap structure differs.
      */
-    explicit NativeRuntime(unsigned max_threads = 0,
-                           CommitProtocol protocol =
-                               CommitProtocol::Pipelined);
-
-    /** The commit protocol this runtime schedules. */
-    CommitProtocol protocol() const { return protocol_; }
+    explicit NativeRuntime(unsigned max_threads = 0);
 
     /**
      * Runs @p model under @p config with real threads.
@@ -138,7 +101,6 @@ class NativeRuntime
 
   private:
     unsigned maxThreads;
-    CommitProtocol protocol_;
 };
 
 } // namespace repro::core

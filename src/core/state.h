@@ -33,10 +33,9 @@ class State
     /**
      * The block-versioned payload backing this state, or null for
      * legacy states whose clone() copies eagerly.  States that return
-     * a payload get zero-copy cloning under
-     * StateVersioning::CopyOnWrite and incremental commit validation
-     * (see core/versioned_state.h); the runtime uses it to price
-     * copies/compares by bytes actually moved.
+     * a payload get zero-copy cloning and incremental commit
+     * validation (see core/versioned_state.h); the runtime uses it to
+     * price copies/compares by bytes actually moved.
      */
     virtual const VersionedBuffer *payload() const { return nullptr; }
 };

@@ -1,7 +1,6 @@
 #include "core/versioned_state.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "metrics/metrics.h"
@@ -11,13 +10,11 @@ namespace repro::core {
 
 namespace {
 
-std::atomic<StateVersioning> g_versioning{StateVersioning::CopyOnWrite};
-
 /** Registry handles for the state layer, resolved once. */
 struct StateCounters
 {
     metrics::Counter &blocksShared;    //!< Clone-time refcount bumps.
-    metrics::Counter &blocksCopied;    //!< Deep clones + materializations.
+    metrics::Counter &blocksCopied;    //!< Write materializations.
     metrics::Counter &bytesCopied;     //!< Bytes those copies moved.
     metrics::Counter &blocksSwapped;   //!< Full overwrites, no copy.
     metrics::Counter &valCompared;     //!< Validation blocks byte-compared.
@@ -44,24 +41,6 @@ stateCounters()
 
 } // namespace
 
-StateVersioning
-stateVersioning()
-{
-    return g_versioning.load(std::memory_order_relaxed);
-}
-
-void
-setStateVersioning(StateVersioning mode)
-{
-    g_versioning.store(mode, std::memory_order_relaxed);
-}
-
-const char *
-stateVersioningName(StateVersioning mode)
-{
-    return mode == StateVersioning::Deep ? "deep" : "cow";
-}
-
 VersionedBuffer::VersionedBuffer(std::size_t bytes,
                                  util::BlockArena *arena)
     : arena_(arena ? arena : &util::BlockArena::global()), bytes_(bytes)
@@ -86,25 +65,12 @@ VersionedBuffer::VersionedBuffer(const VersionedBuffer &other)
     StateCounters &ctr = stateCounters();
     const metrics::ScopedTimer timer(ctr.cloneSeconds);
     const std::size_t n = blocks_.size();
-    if (stateVersioning() == StateVersioning::CopyOnWrite) {
-        for (std::size_t bi = 0; bi < n; ++bi) {
-            util::BlockArena::retain(other.blocks_[bi]);
-            blocks_[bi] = other.blocks_[bi];
-        }
-        creation_.blocksShared = n;
-        ctr.blocksShared.inc(n);
-    } else {
-        for (std::size_t bi = 0; bi < n; ++bi) {
-            util::BlockArena::Block *fresh = arena_->allocate();
-            std::memcpy(fresh->data(), other.blocks_[bi]->data(),
-                        usedBytes(bi));
-            blocks_[bi] = fresh;
-        }
-        creation_.blocksCopied = n;
-        creation_.bytesCopied = bytes_;
-        ctr.blocksCopied.inc(n);
-        ctr.bytesCopied.inc(bytes_);
+    for (std::size_t bi = 0; bi < n; ++bi) {
+        util::BlockArena::retain(other.blocks_[bi]);
+        blocks_[bi] = other.blocks_[bi];
     }
+    creation_.blocksShared = n;
+    ctr.blocksShared.inc(n);
 }
 
 VersionedBuffer &

@@ -10,8 +10,7 @@
  * removes the bulk of that traffic: a state payload is sliced into
  * fixed-size refcounted blocks (util::BlockArena), so
  *
- *  - cloning under StateVersioning::CopyOnWrite is O(blocks) atomic
- *    increments — no bytes move;
+ *  - cloning is O(blocks) atomic increments — no bytes move;
  *  - a writer materializes private blocks on first write, and a *full*
  *    block overwrite (or read-modify-write transform) installs a fresh
  *    block without ever copying the stale bytes;
@@ -23,13 +22,8 @@
  * Soundness rule: cached hashes accelerate *equality* checks only in
  * the sound direction (shared block => equal; different cached hashes
  * => unequal).  A hash match never substitutes for a byte comparison
- * and never feeds a commit verdict — commit decisions must be
- * bit-identical across StateVersioning modes, which oracle tests pin.
- *
- * The legacy behaviour stays available behind the process-wide
- * StateVersioning knob: under Deep, clones copy every block and the
- * summary caches layered above (e.g. ParticleCloud's estimate cache)
- * stay cold, reproducing the old cost profile for A/B pricing.
+ * and never feeds a commit verdict — commit decisions come from the
+ * model alone, and the engine-oracle tests pin them bit for bit.
  *
  * Thread-safety contract (matches the runtime's use): a buffer may be
  * cloned and read concurrently from many threads; writing requires
@@ -51,48 +45,12 @@
 
 namespace repro::core {
 
-/** Clone behaviour of every VersionedBuffer in the process. */
-enum class StateVersioning : std::uint8_t
-{
-    Deep,        //!< Legacy: clone copies every block.
-    CopyOnWrite, //!< Clone shares blocks; writes materialize.
-};
-
-/** Current process-wide mode (default: CopyOnWrite). */
-StateVersioning stateVersioning();
-
-/** Sets the process-wide mode (affects subsequent clones only). */
-void setStateVersioning(StateVersioning mode);
-
-/** Human-readable mode name ("deep" / "cow"). */
-const char *stateVersioningName(StateVersioning mode);
-
-/** RAII mode override for tests and A/B benches. */
-class ScopedStateVersioning
-{
-  public:
-    explicit ScopedStateVersioning(StateVersioning mode)
-        : prev_(stateVersioning())
-    {
-        setStateVersioning(mode);
-    }
-
-    ~ScopedStateVersioning() { setStateVersioning(prev_); }
-
-    ScopedStateVersioning(const ScopedStateVersioning &) = delete;
-    ScopedStateVersioning &operator=(const ScopedStateVersioning &) =
-        delete;
-
-  private:
-    StateVersioning prev_;
-};
-
 /** What one clone actually did (feeds the DES cost model and the
  *  runtime's copy accounting). */
 struct CloneStats
 {
     std::uint64_t blocksShared = 0; //!< Refcount bumps (no bytes moved).
-    std::uint64_t blocksCopied = 0; //!< Blocks deep-copied at clone time.
+    std::uint64_t blocksCopied = 0; //!< Blocks copied at clone time.
     std::uint64_t bytesCopied = 0;  //!< Bytes those copies moved.
 };
 
@@ -111,7 +69,7 @@ class VersionedBuffer
     explicit VersionedBuffer(std::size_t bytes,
                              util::BlockArena *arena = nullptr);
 
-    /** Clone: shares or deep-copies per stateVersioning(). */
+    /** Clone: shares every block (copy-on-write). */
     VersionedBuffer(const VersionedBuffer &other);
     VersionedBuffer &operator=(const VersionedBuffer &other);
     VersionedBuffer(VersionedBuffer &&other) noexcept;

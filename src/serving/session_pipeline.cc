@@ -2,322 +2,44 @@
 
 #include <utility>
 
-#include "core/versioned_state.h"
-#include "metrics/metrics.h"
-#include "obs/abort_report.h"
-#include "obs/span_recorder.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
 
 namespace repro::serving {
 
-namespace {
-
-using core::ExecContext;
-using core::IStateModel;
-using core::State;
-using core::StateHandle;
-using trace::TaskKind;
-
-/** The commit-check match split, the replica cost/benefit signal the
- *  adaptive controller reads: how often the committed final state
- *  matched directly, how often only a replica saved the boundary, and
- *  how often nothing matched (abort).  Resolved once — registry
- *  lookups lock. */
-struct MatchMetrics
-{
-    metrics::Counter &first;   //!< Committed final state matched.
-    metrics::Counter &replica; //!< Some replica matched instead.
-    metrics::Counter &none;    //!< No original state matched (abort).
-};
-
-MatchMetrics &
-matchMetrics()
-{
-    auto &reg = metrics::MetricsRegistry::global();
-    static MatchMetrics m{
-        reg.counter("serving.commit_match_first"),
-        reg.counter("serving.commit_match_replica"),
-        reg.counter("serving.commit_match_none"),
-    };
-    return m;
-}
-
-/** Runs updates [from, to) on @p state with @p rng — the same span
- *  primitive the batch runtime uses, so the state and RNG evolution
- *  per chunk are step-for-step identical. */
-void
-runSpan(const IStateModel &model, State &state, std::size_t from,
-        std::size_t to, util::Rng &rng, double *outs, TaskKind kind)
-{
-    ExecContext ctx(rng, nullptr, kind);
-    for (std::size_t i = from; i < to; ++i) {
-        const double out = model.update(state, i, ctx);
-        if (outs)
-            outs[i - from] = out;
-    }
-    rng = ctx.rng();
-}
-
-/** Wall seconds a finished span covered (0 for untraced spans). */
-double
-spanSeconds(const obs::Span &s)
-{
-    return s.endNs > s.startNs
-               ? static_cast<double>(s.endNs - s.startNs) * 1e-9
-               : 0.0;
-}
-
-/** Fills the block-level divergence fields of @p cmp from the two
- *  states' payloads, when both are block-backed (legacy deep states
- *  keep the -1 "unknown" defaults). */
-void
-fillPayloadDiff(const State &spec, const State &candidate,
-                obs::AbortComparison &cmp)
-{
-    const core::VersionedBuffer *a = spec.payload();
-    const core::VersionedBuffer *b = candidate.payload();
-    if (!a || !b)
-        return;
-    const core::VersionedBuffer::DiffReport d =
-        core::VersionedBuffer::diffReport(*a, *b);
-    if (!d.comparable)
-        return;
-    cmp.firstDiffBlock = d.firstDiffBlock;
-    cmp.bytesCompared = d.bytesCompared;
-}
-
-} // namespace
-
-SessionPipeline::SessionPipeline(const IStateModel &model, Config config,
-                                 std::uint64_t seed,
+SessionPipeline::SessionPipeline(const core::IStateModel &model,
+                                 Config config, std::uint64_t seed,
                                  util::ThreadPool *pool)
-    : model_(model), cfg_(config), base_(seed), pool_(pool)
+    : cfg_(config), protocol_(model, seed, pool)
 {
     REPRO_ASSERT(cfg_.numOriginalStates >= 1,
                  "session needs numOriginalStates >= 1");
-}
-
-void
-SessionPipeline::commitChunk(StateHandle final_state, StateHandle snapshot,
-                             std::size_t snap, std::size_t end)
-{
-    committedFinal_ = std::move(final_state);
-    committedSnapshot_ = std::move(snapshot);
-    committedSnapStart_ = snap;
-    committedEnd_ = end;
 }
 
 SessionPipeline::ChunkResult
 SessionPipeline::processChunk(std::size_t count)
 {
     REPRO_ASSERT(count >= 1, "closed chunk must contain inputs");
-    REPRO_ASSERT(committedFinal_ != nullptr || chunkIndex_ == 0,
+    REPRO_ASSERT(chunkIndex_ == 0 || protocol_.hasCommitted(),
                  "pipeline used after releaseState()");
-    const std::size_t start = nextInput_;
-    const std::size_t end = start + count;
-    const unsigned c = chunkIndex_;
-    const std::size_t K = cfg_.altWindowK;
-    // Snapshot point: end-K clamped into the chunk, exactly the batch
-    // runtime's max(begin, end - K).
-    const std::size_t snap = end - start > K ? end - K : start;
-
-    ChunkResult result;
-    result.chunkIndex = c;
-    result.firstInput = start;
-    result.outputs.resize(count);
-
-    auto &rec = obs::SpanRecorder::global();
-    const std::uint64_t sess = traceSession_;
-    const std::uint64_t par = traceParent_;
-    const auto istart = static_cast<std::int64_t>(start);
-    const auto icount = static_cast<std::uint32_t>(count);
-
-    if (c == 0) {
-        // The first chunk runs from the program's initial state — it
-        // is never speculative and commits as it is.
-        obs::Span body = rec.start(obs::SpanKind::ChunkBody, par, sess,
-                                   c, istart, icount);
-        StateHandle working = model_.initialState();
-        util::Rng rng = base_.split(1000);
-        runSpan(model_, *working, start, snap, rng,
-                result.outputs.data(), TaskKind::ChunkBody);
-        StateHandle snapshot = working->clone();
-        runSpan(model_, *working, snap, end, rng,
-                result.outputs.data() + (snap - start),
-                TaskKind::ChunkBody);
-        rec.finish(body);
-        obs::Span commit = rec.start(obs::SpanKind::Commit, par, sess, c,
-                                     istart, icount, /*detail=*/-1);
-        commitChunk(std::move(working), std::move(snapshot), snap, end);
-        rec.finish(commit);
-        nextInput_ = end;
-        ++chunkIndex_;
-        return result;
-    }
-
-    // Speculate chunk c: alternative producer replays the last K
-    // inputs (streams: split(2000 + c)), the entry state is cloned for
-    // the commit check, then the body runs (split(1000 + c)) with the
-    // snapshot clone splitting it at end-K.
-    obs::Span altSpan =
-        rec.start(obs::SpanKind::AltProducer, par, sess, c, istart,
-                  icount, static_cast<std::int64_t>(K));
-    StateHandle working = model_.coldState();
-    util::Rng alt_rng = base_.split(2000 + c);
-    const std::size_t alt_from = start >= K ? start - K : 0;
-    runSpan(model_, *working, alt_from, start, alt_rng, nullptr,
-            TaskKind::AltProducer);
-    StateHandle spec_entry = working->clone();
-    rec.finish(altSpan);
-    obs::Span bodySpan = rec.start(obs::SpanKind::ChunkBody, par, sess,
-                                   c, istart, icount);
-    util::Rng body_rng = base_.split(1000 + c);
-    runSpan(model_, *working, start, snap, body_rng,
-            result.outputs.data(), TaskKind::ChunkBody);
-    StateHandle snapshot = working->clone();
-    runSpan(model_, *working, snap, end, body_rng,
-            result.outputs.data() + (snap - start), TaskKind::ChunkBody);
-    rec.finish(bodySpan);
-
-    // Boundary c-1: regenerate the R-1 original-state replicas from
-    // the committed snapshot (streams: split(3000 + (c-1)*128 + rep)),
-    // replaying the boundary inputs [snap_{c-1}, end_{c-1}).  Replicas
-    // are independent — fan out on the pool when one is available; the
-    // commit check below stays strictly ordered either way.
-    const unsigned R = cfg_.numOriginalStates;
-    std::vector<StateHandle> replicas(R - 1);
-    std::vector<double> replicaSeconds(replicas.size(), 0.0);
-    const auto regenerate = [&, par, sess, c](std::size_t rep) {
-        // The parent id is captured by value: a replica span records
-        // on whichever pool thread ran it, yet still links to the
-        // strand's chunk-process span across threads.
-        obs::Span span = obs::SpanRecorder::global().start(
-            obs::SpanKind::ReplicaRegen, par, sess, c, istart, icount,
-            static_cast<std::int64_t>(rep));
-        StateHandle replica = committedSnapshot_->clone();
-        util::Rng rng = base_.split(3000 + (c - 1) * 128 + rep);
-        runSpan(model_, *replica, committedSnapStart_, committedEnd_,
-                rng, nullptr, TaskKind::OriginalStateGen);
-        replicas[rep] = std::move(replica);
-        obs::SpanRecorder::global().finish(span);
-        replicaSeconds[rep] = spanSeconds(span);
-    };
-    if (pool_ && replicas.size() > 1) {
-        pool_->parallelFor(replicas.size(), regenerate);
+    core::ChunkRun chunk(chunkIndex_, nextInput_, nextInput_ + count,
+                         cfg_.altWindowK);
+    protocol_.speculateHead(chunk);
+    protocol_.speculateTail(chunk);
+    if (chunk.index == 0) {
+        protocol_.commitFirst(chunk);
     } else {
-        for (std::size_t rep = 0; rep < replicas.size(); ++rep)
-            regenerate(rep);
+        core::Replicas replicas(cfg_.numOriginalStates - 1);
+        protocol_.regrowReplicas(replicas);
+        protocol_.resolve(chunk, replicas);
     }
 
-    // Commit check (paper Fig. 6): the speculative entry state against
-    // the committed final state, then each replica in order.
-    obs::Span valSpan = rec.start(obs::SpanKind::Validation, par, sess,
-                                  c, istart, icount);
-    const bool matched_first =
-        model_.matches(*spec_entry, *committedFinal_);
-    bool matched = matched_first;
-    std::int64_t matchedCandidate = matched_first ? -1 : -2;
-    std::size_t candidatesCompared = 1;
-    for (std::size_t rep = 0; !matched && rep < replicas.size(); ++rep) {
-        matched = model_.matches(*spec_entry, *replicas[rep]);
-        ++candidatesCompared;
-        if (matched)
-            matchedCandidate = static_cast<std::int64_t>(rep);
-    }
-    valSpan.detail = static_cast<std::int64_t>(candidatesCompared);
-    rec.finish(valSpan);
-    auto &mm = matchMetrics();
-    if (matched_first)
-        mm.first.inc();
-    else if (matched)
-        mm.replica.inc();
-    else
-        mm.none.inc();
-
-    if (matched) {
-        ++commits_;
-        obs::Span commit = rec.start(obs::SpanKind::Commit, par, sess,
-                                     c, istart, icount,
-                                     matchedCandidate);
-        commitChunk(std::move(working), std::move(snapshot), snap, end);
-        rec.finish(commit);
-    } else {
-        // Abort: re-execute the chunk from the committed final state
-        // (streams: split(5000 + c)); the re-executed outputs replace
-        // the speculative ones.
-        ++aborts_;
-        result.aborted = true;
-        obs::Span abortSpan = rec.start(obs::SpanKind::Abort, par, sess,
-                                        c, istart, icount);
-        if (obs::enabled()) {
-            // Root-cause attribution while every candidate is alive:
-            // where each comparison diverged, and what the abort cost
-            // in §V-B terms (the speculated body + alt-producer work
-            // is mispeculation; replicas and compares were extra
-            // computation either way).
-            obs::AbortReport report;
-            report.session = sess;
-            report.chunk = c;
-            report.firstInput = istart;
-            report.inputCount = icount;
-            report.spanId = abortSpan.id;
-            report.wastedBodySeconds = spanSeconds(bodySpan);
-            report.wastedAltSeconds = spanSeconds(altSpan);
-            for (const double rs : replicaSeconds)
-                report.wastedReplicaSeconds += rs;
-            report.validateSeconds = spanSeconds(valSpan);
-            obs::AbortComparison first;
-            first.candidate = -1;
-            first.matched = matched_first;
-            fillPayloadDiff(*spec_entry, *committedFinal_, first);
-            report.comparisons.push_back(first);
-            for (std::size_t rep = 0; rep < replicas.size(); ++rep) {
-                obs::AbortComparison cmp;
-                cmp.candidate = static_cast<int>(rep);
-                cmp.matched = false;
-                fillPayloadDiff(*spec_entry, *replicas[rep], cmp);
-                report.comparisons.push_back(cmp);
-            }
-            // Headline: the candidate the byte walk got furthest into
-            // before diverging; ties go to the later candidate so a
-            // replica is named over the committed final.
-            std::uint64_t best = 0;
-            bool haveBest = false;
-            for (const obs::AbortComparison &cmp : report.comparisons) {
-                report.bytesCompared += cmp.bytesCompared;
-                if (!haveBest || cmp.bytesCompared >= best) {
-                    best = cmp.bytesCompared;
-                    haveBest = true;
-                    report.mismatchCandidate = cmp.candidate;
-                    report.firstDiffBlock = cmp.firstDiffBlock;
-                }
-            }
-            obs::AbortLog::global().record(std::move(report));
-        }
-        const std::uint64_t reParent = abortSpan.id ? abortSpan.id : par;
-        obs::Span reSpan = rec.start(obs::SpanKind::ReExec, reParent,
-                                     sess, c, istart, icount);
-        StateHandle redo = committedFinal_->clone();
-        util::Rng redo_rng = base_.split(5000 + c);
-        runSpan(model_, *redo, start, snap, redo_rng,
-                result.outputs.data(), TaskKind::MispecReExec);
-        StateHandle redo_snapshot = redo->clone();
-        runSpan(model_, *redo, snap, end, redo_rng,
-                result.outputs.data() + (snap - start),
-                TaskKind::MispecReExec);
-        rec.finish(reSpan);
-        obs::Span commit = rec.start(obs::SpanKind::Commit, reParent,
-                                     sess, c, istart, icount,
-                                     /*detail=*/-2);
-        commitChunk(std::move(redo), std::move(redo_snapshot), snap,
-                    end);
-        rec.finish(commit);
-        rec.finish(abortSpan);
-    }
-
-    nextInput_ = end;
+    nextInput_ = chunk.end;
     ++chunkIndex_;
+    ChunkResult result;
+    result.chunkIndex = chunk.index;
+    result.firstInput = chunk.begin;
+    result.aborted = chunk.aborted;
+    result.outputs = std::move(chunk.outputs);
     return result;
 }
 
@@ -332,8 +54,7 @@ SessionPipeline::reconfigure(Config config)
 void
 SessionPipeline::releaseState()
 {
-    committedFinal_.reset();
-    committedSnapshot_.reset();
+    protocol_.releaseState();
 }
 
 } // namespace repro::serving

@@ -1,41 +1,36 @@
 /**
  * @file
- * The STATS protocol of one serving session, fed chunk-by-chunk.
+ * The STATS protocol of one serving session, fed chunk by chunk: the
+ * incremental caller of the protocol core.
  *
- * NativeRuntime::run (core/native_runtime.h) executes the protocol in
- * batch: all chunk boundaries are known up front because the whole
- * input vector is.  A serving session learns its boundaries one at a
- * time — the runtime closes a chunk when it reaches the configured
- * size or when its age exceeds the session's latency budget — so the
- * protocol must run *incrementally*: speculate the newly closed chunk
- * from the alternative producer, regenerate the previous boundary's
- * original-state replicas, run the commit check, and either commit the
- * speculative outputs or re-execute from the committed state.
+ * NativeRuntime::run (core/native_runtime.h) knows every chunk
+ * boundary up front because it has the whole input vector.  A serving
+ * session learns its boundaries one at a time — the runtime closes a
+ * chunk when it reaches the configured size or when its age exceeds
+ * the session's latency budget — so it runs the protocol
+ * incrementally.  processChunk() runs core::StatsProtocol's steps
+ * (core/stats_protocol.h) in order for the newly closed chunk:
+ * speculate it from the alternative producer, regenerate the previous
+ * boundary's original-state replicas from the committed snapshot,
+ * run the ordered commit check, and commit the speculative outputs or
+ * re-execute from the committed state.
  *
- * Determinism contract: every RNG stream is derived exactly as the
- * batch runtime derives it (body split(1000+c), alt producer
- * split(2000+c), replica split(3000+c*128+rep), re-execution
- * split(5000+c)), and the commit check compares against the committed
- * final state first and then each replica in order.  Therefore, for a
- * fixed (model, seed) and a fixed *closure trace* (the sequence of
- * chunk sizes), the outputs, commit decisions, and abort count are a
- * pure function of that trace — independent of wall-clock timing, of
- * which closure mechanism (size, deadline, drain, manual) produced
- * each boundary, and of how many sessions share the pool.  When the
- * trace matches the batch runtime's boundaries (inputs split n*c/C)
- * the outputs are bit-identical to NativeRuntime::run for the same
- * (model, config, seed), across both commit protocols and both
- * StateVersioning modes — the oracle tests in tests/serving pin this.
+ * Determinism contract: the core derives every RNG stream from the
+ * seed and the chunk index alone, so for a fixed (model, seed) and a
+ * fixed *closure trace* (the sequence of chunk sizes) the outputs,
+ * commit decisions, and abort count are a pure function of that trace
+ * — independent of wall-clock timing, of which closure mechanism
+ * (size, deadline, drain, manual) produced each boundary, and of how
+ * many sessions share the pool.  When the trace matches the batch
+ * boundaries (inputs split n*c/C) the outputs are bit-identical to
+ * NativeRuntime::run and Engine::runStats for the same (model,
+ * config, seed) — the oracle tests in tests/serving pin this.
  *
- * Two intentional structural differences from batch, neither of which
- * can change outputs: every chunk takes an end-of-chunk snapshot (the
- * batch runtime skips the last chunk's, but a stream never knows which
- * chunk is last — a clone consumes no RNG and does not perturb the
- * state), and replicas always regenerate from the *committed* snapshot
- * (the batch pipelined schedule launches them eagerly from speculative
- * snapshots, but discards and regenerates them with the same streams
- * whenever that snapshot failed to commit, so the surviving replica
- * states are identical).
+ * One structural difference from batch remains, and it cannot change
+ * outputs: replicas always regrow from the *committed* snapshot.  The
+ * batch runtime grows them eagerly from the speculative snapshot, which
+ * is the committed snapshot whenever the chunk committed, and regrows
+ * them from the committed one with the same streams when it did not.
  *
  * Threading: a pipeline instance is single-strand — the serving
  * runtime guarantees at most one processChunk() call is in flight per
@@ -53,12 +48,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/state_model.h"
-#include "util/rng.h"
-
-namespace repro::util {
-class ThreadPool;
-} // namespace repro::util
+#include "core/stats_protocol.h"
 
 namespace repro::serving {
 
@@ -141,15 +131,14 @@ class SessionPipeline
     void
     setTraceContext(std::uint64_t session, std::uint64_t parentSpan)
     {
-        traceSession_ = session;
-        traceParent_ = parentSpan;
+        protocol_.setTraceContext(session, parentSpan);
     }
 
     /** Boundaries whose commit check accepted the speculation. */
-    unsigned commits() const { return commits_; }
+    unsigned commits() const { return protocol_.commits(); }
 
     /** Boundaries that aborted and re-executed. */
-    unsigned aborts() const { return aborts_; }
+    unsigned aborts() const { return protocol_.aborts(); }
 
     /**
      * Releases the committed state and snapshot (BlockArena payloads
@@ -159,30 +148,10 @@ class SessionPipeline
     void releaseState();
 
   private:
-    /** Installs the committed products of the chunk just resolved. */
-    void commitChunk(core::StateHandle final_state,
-                     core::StateHandle snapshot, std::size_t snap,
-                     std::size_t end);
-
-    const core::IStateModel &model_;
     Config cfg_; //!< Mutable only through reconfigure(), at boundaries.
-    const util::Rng base_;
-    util::ThreadPool *pool_;
-
+    core::StatsProtocol protocol_; //!< Owns the committed products.
     std::size_t nextInput_ = 0;
     unsigned chunkIndex_ = 0;
-    unsigned commits_ = 0;
-    unsigned aborts_ = 0;
-    std::uint64_t traceSession_ = 0; //!< See setTraceContext().
-    std::uint64_t traceParent_ = 0;
-
-    // Committed products of the most recently resolved chunk: the
-    // final state feeds the next commit check (and abort re-execution),
-    // the snapshot feeds the next boundary's replica regeneration.
-    core::StateHandle committedFinal_;
-    core::StateHandle committedSnapshot_;
-    std::size_t committedSnapStart_ = 0; //!< Snapshot's input index.
-    std::size_t committedEnd_ = 0;       //!< End of the committed chunk.
 };
 
 } // namespace repro::serving

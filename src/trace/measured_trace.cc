@@ -109,24 +109,6 @@ MeasuredTraceRecorder::end(TaskId id)
     rec.ended = true;
 }
 
-TaskId
-MeasuredTraceRecorder::addMeasured(TaskKind kind, ThreadId thread,
-                                   double duration_us, std::int32_t chunk)
-{
-    const double finish = nowUs();
-    std::lock_guard<std::mutex> lock(mutex_);
-    Record rec;
-    rec.kind = kind;
-    rec.thread = thread;
-    rec.chunk = chunk;
-    rec.lane = laneOfCallingThread();
-    rec.startUs = std::max(0.0, finish - std::max(0.0, duration_us));
-    rec.finishUs = finish;
-    rec.ended = true;
-    records_.push_back(rec);
-    return static_cast<TaskId>(records_.size() - 1);
-}
-
 void
 MeasuredTraceRecorder::addDep(TaskId before, TaskId after)
 {

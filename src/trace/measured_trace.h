@@ -16,18 +16,10 @@
  *
  * Edge convention: the recorded graph mirrors the *schedule actually
  * executed*, not just the data flow, so the what-if replay reproduces
- * each protocol's constraints.  Under the barrier schedule
- * (NativeRuntime CommitProtocol::Barrier) every chunk body feeds a
- * Sync task — the caller's measured wait at the phase-1 join,
- * recorded via addMeasured() — which gates the first commit check,
- * and each boundary's replica regeneration serializes behind the
- * previous boundary's last commit-protocol task.  Under the pipelined
- * schedule there is no join: commit checks depend only on the two
- * adjacent chunks and the boundary's replicas, and eager replicas
- * hang off the owning chunk's speculative snapshot.  Removing the
- * Sync tasks (ladder step "synchronization") and rebalancing
- * durations (step "imbalance") therefore quantify exactly what the
- * pipelined protocol eliminates.
+ * the runtime's constraints.  There is no global join: commit checks
+ * depend only on the two adjacent chunks and the boundary's replicas,
+ * and eager replicas hang off the owning chunk's speculative
+ * snapshot.
  *
  * Recording is strictly observational: the recorder never touches RNG
  * streams or program state, so a recorded run stays bit-identical to
@@ -114,21 +106,6 @@ class MeasuredTraceRecorder
     /** Ends task @p id, timestamping now.  Must be called once per
      *  begin, from any thread, before finish(). */
     void end(TaskId id);
-
-    /**
-     * Records a task whose duration was timed externally and that
-     * *ends now*: it is back-dated to [now - duration_us, now] on the
-     * calling thread's lane.  For intervals that cannot be bracketed
-     * with begin()/end() because they elapse inside a primitive — the
-     * native runtime uses this for the caller's measured wait at the
-     * ThreadPool::parallelFor join, recorded as a TaskKind::Sync task
-     * so the barrier cost is attributable in the §V-B ladder.  Since
-     * ids are handed out in *begin-call* order, a back-dated task gets
-     * a higher id than tasks begun during the interval; dependencies
-     * out of it still point forward in id order as addDep requires.
-     */
-    TaskId addMeasured(TaskKind kind, ThreadId thread, double duration_us,
-                       std::int32_t chunk = kNoChunk);
 
     /** Explicit dependency: @p after only ran once @p before had
      *  finished.  @p before must have begun before @p after. */

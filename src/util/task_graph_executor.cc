@@ -46,7 +46,7 @@ TaskGraphExecutor::~TaskGraphExecutor()
     // members go away.  Errors were either observed by an earlier
     // wait() or are intentionally dropped here.
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [&] { return unfinished_ == 0; });
+    idle_.wait(lock, [&] { return quiescentLocked(); });
 }
 
 TaskGraphExecutor::NodeId
@@ -87,10 +87,17 @@ TaskGraphExecutor::dispatchLocked(std::unique_lock<std::mutex> &lock)
         ++running_;
         // detach() may run the node inline on a stopped pool; the node
         // re-locks, so the lock must be dropped around the handoff.
+        // The node may finish before the lock is re-taken; counting
+        // the hand-off keeps wait() and the destructor from returning
+        // while this thread still has to touch the executor.
+        ++dispatching_;
         lock.unlock();
         pool_.detach([this, id] { runNode(id); });
         lock.lock();
+        --dispatching_;
     }
+    if (quiescentLocked())
+        idle_.notify_all();
 }
 
 void
@@ -132,8 +139,6 @@ TaskGraphExecutor::runNode(NodeId id)
     node.successors.clear();
     --running_;
     --unfinished_;
-    if (unfinished_ == 0)
-        idle_.notify_all();
     dispatchLocked(lock);
 }
 
@@ -141,7 +146,7 @@ void
 TaskGraphExecutor::wait()
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [&] { return unfinished_ == 0; });
+    idle_.wait(lock, [&] { return quiescentLocked(); });
     if (error_)
         std::rethrow_exception(error_);
 }

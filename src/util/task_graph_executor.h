@@ -3,8 +3,8 @@
  * Dependency-driven continuations on the shared ThreadPool.
  *
  * ThreadPool::parallelFor expresses one flat batch with an implicit
- * barrier at the end; the pipelined commit protocol of the native
- * STATS runtime (core/native_runtime.h) needs something finer: run
+ * barrier at the end; the batch schedule of the native STATS runtime
+ * (core/native_runtime.h) needs something finer: run
  * this closure as soon as *those* predecessors have finished, with no
  * global join in between.  TaskGraphExecutor provides exactly that —
  * a growable DAG of closures whose ready nodes are dispatched to a
@@ -105,9 +105,17 @@ class TaskGraphExecutor
         bool finished = false;
     };
 
-    /** Moves ready nodes to the pool while under the concurrency cap.
-     *  Call with mutex_ held; the lock is dropped around dispatch. */
+    /** Moves ready nodes to the pool while under the concurrency cap,
+     *  then wakes waiters if the graph became quiescent.  Call with
+     *  mutex_ held; the lock is dropped around each hand-off. */
     void dispatchLocked(std::unique_lock<std::mutex> &lock);
+
+    /** Every node finished and no thread is inside a hand-off. */
+    bool
+    quiescentLocked() const
+    {
+        return unfinished_ == 0 && dispatching_ == 0;
+    }
 
     /** Body wrapper executed on a pool worker (or inline). */
     void runNode(NodeId id);
@@ -121,6 +129,7 @@ class TaskGraphExecutor
     std::deque<NodeId> ready_;
     std::size_t running_ = 0;
     std::size_t unfinished_ = 0;
+    std::size_t dispatching_ = 0; //!< Hand-offs with mutex_ dropped.
     std::exception_ptr error_;
 };
 

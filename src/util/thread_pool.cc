@@ -223,11 +223,8 @@ ThreadPool::workerLoop(unsigned worker)
 void
 ThreadPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &body,
-                        unsigned max_concurrency, std::size_t grain,
-                        double *caller_wait_seconds)
+                        unsigned max_concurrency, std::size_t grain)
 {
-    if (caller_wait_seconds)
-        *caller_wait_seconds = 0.0;
     if (n == 0)
         return;
     poolMetrics().forCalls.inc();
@@ -260,21 +257,15 @@ ThreadPool::parallelFor(std::size_t n,
 
     // Anything from here to the predicate passing is join wait: the
     // caller has no iterations left and is blocked on helpers.
-    const bool time_join = caller_wait_seconds || metrics::enabled();
+    const bool time_join = metrics::enabled();
     const Clock::time_point join_start =
         time_join ? Clock::now() : Clock::time_point{};
     std::unique_lock<std::mutex> lock(st->mutex);
     st->done.wait(lock, [&] {
         return st->completed.load() >= st->target.load();
     });
-    if (time_join) {
-        const double waited =
-            std::chrono::duration<double>(Clock::now() - join_start)
-                .count();
-        if (caller_wait_seconds)
-            *caller_wait_seconds = waited;
-        poolMetrics().joinWait.observe(waited);
-    }
+    if (time_join)
+        poolMetrics().joinWait.observeSince(join_start);
     if (st->error)
         std::rethrow_exception(st->error);
 }

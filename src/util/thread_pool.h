@@ -158,18 +158,13 @@ class ThreadPool
      * deterministic — bodies must be independent (they are in all call
      * sites: per-chunk and per-replica work write disjoint slots).
      *
-     * When @p caller_wait_seconds is non-null it receives the time the
-     * *calling* thread spent blocked at the join — from the moment it
-     * ran out of iterations to claim until the last in-flight grain on
-     * a helper finished (0 when the caller finished last).  This is
-     * the measured cost of the fork-join barrier itself, which the
-     * native runtime records as a Sync task so the §V-B overhead
-     * ladder can attribute it (trace/measured_trace.h).
+     * The time the caller spends blocked at the join, after it ran out
+     * of iterations to claim, feeds the pool.join_wait_seconds
+     * histogram.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body,
-                     unsigned max_concurrency = 0, std::size_t grain = 0,
-                     double *caller_wait_seconds = nullptr);
+                     unsigned max_concurrency = 0, std::size_t grain = 0);
 
     /**
      * Installs @p profiler (nullptr uninstalls).  The pool keeps a

@@ -167,25 +167,18 @@ ParticleCloud::mean(unsigned d) const
 {
     if (meanValid_)
         return meanCache_[d];
-    if (core::stateVersioning() == core::StateVersioning::CopyOnWrite) {
-        // One particle-major pass filling every dim.  Each dim's
-        // accumulation visits particles in the same order with the
-        // same operands as the legacy per-dim scan below, so the
-        // cached values are bit-identical to it.
-        std::vector<double> acc(numDims, 0.0);
-        for (unsigned p = 0; p < numParticles; ++p) {
-            const double w = weight(p);
-            for (unsigned dd = 0; dd < numDims; ++dd)
-                acc[dd] += w * coord(p, dd);
-        }
-        meanCache_ = std::move(acc);
-        meanValid_ = true;
-        return meanCache_[d];
+    // One particle-major pass filling every dim.  Each dim's
+    // accumulation visits particles in order, so each mean equals a
+    // per-dim scan bit for bit.
+    std::vector<double> acc(numDims, 0.0);
+    for (unsigned p = 0; p < numParticles; ++p) {
+        const double w = weight(p);
+        for (unsigned dd = 0; dd < numDims; ++dd)
+            acc[dd] += w * coord(p, dd);
     }
-    double m = 0.0;
-    for (unsigned p = 0; p < numParticles; ++p)
-        m += weight(p) * coord(p, d);
-    return m;
+    meanCache_ = std::move(acc);
+    meanValid_ = true;
+    return meanCache_[d];
 }
 
 std::size_t

@@ -10,20 +10,19 @@
  *
  * Storage is a core::VersionedBuffer laid out as
  *   [particles x dims coordinates][particles weights][one flags word]
- * so cloning a cloud under StateVersioning::CopyOnWrite shares blocks
- * instead of copying bytes, and the bulk mutators (propagate, weigh,
- * resample, overwriteCoords) rewrite whole blocks without first
- * materializing the stale content.  The flags word packs workload
- * booleans (seeded, lost counters) into the versioned payload so the
- * whole computational state lives behind one buffer.
+ * so cloning a cloud shares blocks instead of copying bytes, and the
+ * bulk mutators (propagate, weigh, resample, overwriteCoords) rewrite
+ * whole blocks without first materializing the stale content.  The
+ * flags word packs workload booleans (seeded, lost counters) into the
+ * versioned payload so the whole computational state lives behind one
+ * buffer.
  *
  * The weighted-mean estimates are cached per cloud object and
- * invalidated by any mutation.  Under CopyOnWrite a commit check whose
- * sides were estimated after their last mutation (the common case: the
- * update computes its output estimate last) reads only the cached
- * means — that is the incremental-validation win the state-comparison
- * §V-B category measures.  Under Deep the cache stays disabled so the
- * legacy full-scan cost profile is preserved for A/B runs.
+ * invalidated by any mutation.  A commit check whose sides were
+ * estimated after their last mutation (the common case: the update
+ * computes its output estimate last) reads only the cached means —
+ * that is the incremental-validation win the state-comparison §V-B
+ * category measures.
  */
 
 #ifndef REPRO_WORKLOADS_PARTICLE_FILTER_H
@@ -218,8 +217,7 @@ class ParticleCloud
     core::VersionedBuffer buf_;
 
     // Estimate cache: weighted means of all dims, filled by one
-    // particle-major pass that is bit-identical to the legacy per-dim
-    // scan.  Used only under CopyOnWrite (Deep keeps legacy costs).
+    // particle-major pass.
     mutable std::vector<double> meanCache_;
     mutable bool meanValid_ = false;
 };

@@ -3,10 +3,10 @@
  * Adaptive batch determinism tests — the acceptance gates of the
  * feedback controller:
  *
- *  - Frozen-mode adaptive runs are bit-identical to NativeRuntime::run
- *    for the same (model, config, seed), across Barrier x Pipelined
- *    commit protocols and Deep x CopyOnWrite state versioning: adding
- *    the controller changes nothing unless it decides something.
+ *  - Frozen-mode adaptive runs are bit-identical to the independent
+ *    oracle Engine::runStats and to NativeRuntime::run for the same
+ *    (model, config, seed): adding the controller changes nothing
+ *    unless it decides something.
  *  - Active-mode runs are a pure function of (model, seed, decision
  *    trace): replayAdaptiveBatch on the recorded trace reproduces the
  *    adaptive outputs, commits, aborts, and closure trace bit for bit.
@@ -19,8 +19,8 @@
 
 #include "adapt/adaptive_runner.h"
 #include "core/ema_model.h"
+#include "core/engine.h"
 #include "core/native_runtime.h"
-#include "core/versioned_state.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -31,12 +31,10 @@ using repro::adapt::ControllerMode;
 using repro::adapt::Decision;
 using repro::adapt::replayAdaptiveBatch;
 using repro::adapt::runAdaptiveBatch;
-using repro::core::CommitProtocol;
-using repro::core::commitProtocolName;
+using repro::core::Engine;
 using repro::core::NativeRuntime;
-using repro::core::ScopedStateVersioning;
-using repro::core::StateVersioning;
 using repro::core::StatsConfig;
+using repro::core::TlpModel;
 using repro::testing::EmaModel;
 
 StatsConfig
@@ -61,13 +59,25 @@ abortingModel()
     return EmaModel(mc);
 }
 
+/** Every output plus the commit/abort tallies of @p run against
+ *  @p oracle, exactly. */
+template <typename Oracle>
+void
+expectSameRun(const AdaptiveBatchResult &run, const Oracle &oracle,
+              const char *what)
+{
+    EXPECT_EQ(run.commits, oracle.commits) << what;
+    EXPECT_EQ(run.aborts, oracle.aborts) << what;
+    ASSERT_EQ(run.outputs.size(), oracle.outputs.size()) << what;
+    for (std::size_t i = 0; i < run.outputs.size(); ++i)
+        ASSERT_EQ(run.outputs[i], oracle.outputs[i])
+            << what << " input " << i;
+}
+
 void
 expectFrozenMatchesBatch(const EmaModel &model, const StatsConfig &config,
-                         std::uint64_t seed, CommitProtocol protocol)
+                         std::uint64_t seed)
 {
-    const NativeRuntime native(4, protocol);
-    const auto oracle = native.run(model, config, seed);
-
     AdaptiveBatchOptions opts;
     opts.controller.mode = ControllerMode::Frozen;
     // Eager settings: the controller *wants* to move — frozen mode is
@@ -79,30 +89,21 @@ expectFrozenMatchesBatch(const EmaModel &model, const StatsConfig &config,
     const AdaptiveBatchResult frozen = runAdaptiveBatch(
         model, config, seed, opts, &repro::util::ThreadPool::global());
 
-    EXPECT_EQ(frozen.commits, oracle.commits)
-        << commitProtocolName(protocol);
-    EXPECT_EQ(frozen.aborts, oracle.aborts) << commitProtocolName(protocol);
-    ASSERT_EQ(frozen.outputs.size(), oracle.outputs.size());
-    for (std::size_t i = 0; i < frozen.outputs.size(); ++i)
-        ASSERT_EQ(frozen.outputs[i], oracle.outputs[i])
-            << commitProtocolName(protocol) << " input " << i;
+    expectSameRun(frozen,
+                  Engine().runStats(model, {}, TlpModel{}, config, seed),
+                  "vs Engine::runStats");
+    expectSameRun(frozen, NativeRuntime(4).run(model, config, seed),
+                  "vs NativeRuntime::run");
     // Frozen decisions are recorded, never applied.
     for (const Decision &d : frozen.decisions)
         EXPECT_FALSE(d.applied);
 }
 
-TEST(AdaptiveRunner, FrozenMatchesBatchAcrossProtocolsAndVersioning)
+TEST(AdaptiveRunner, FrozenMatchesEngineAndBatch)
 {
     const EmaModel model = abortingModel();
-    for (const auto versioning :
-         {StateVersioning::Deep, StateVersioning::CopyOnWrite}) {
-        const ScopedStateVersioning scoped(versioning);
-        for (const auto protocol :
-             {CommitProtocol::Barrier, CommitProtocol::Pipelined}) {
-            expectFrozenMatchesBatch(model, cfg(8, 2, 1), 17, protocol);
-            expectFrozenMatchesBatch(model, cfg(12, 4, 3), 99, protocol);
-        }
-    }
+    expectFrozenMatchesBatch(model, cfg(8, 2, 1), 17);
+    expectFrozenMatchesBatch(model, cfg(12, 4, 3), 99);
 }
 
 TEST(AdaptiveRunner, FrozenRecordsTheDecisionsActiveWouldTake)

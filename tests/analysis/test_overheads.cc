@@ -171,58 +171,54 @@ TEST(ExtraComputation, CopyingNotOnCriticalPath)
 
 TEST(MeasuredOverheads, LadderPartitionsIdealOnMeasuredGraph)
 {
-    // Run the measured ladder on real recorded native executions (both
-    // commit protocols): the per-category losses plus the achieved
-    // fraction must partition [0, 1] like the simulated ladder.
-    // Wall-clock on a shared host is noisy — a preempted run inflates
-    // its duration severalfold — so both the sequential denominator
-    // and the recording are best-of-repeats, and the exactness check
-    // only applies when the measurement is physically sensible
-    // (actual <= ideal; a "measured" speedup above ideal can only be
-    // a mis-timed sequential baseline).
+    // Run the measured ladder on real recorded native executions: the
+    // per-category losses plus the achieved fraction must partition
+    // [0, 1] like the simulated ladder.  Wall-clock on a shared host
+    // is noisy — a preempted run inflates its duration severalfold —
+    // so both the sequential denominator and the recording are
+    // best-of-repeats, and the exactness check only applies when the
+    // measurement is physically sensible (actual <= ideal; a
+    // "measured" speedup above ideal can only be a mis-timed
+    // sequential baseline).
     const auto w = makeWorkload("streamclassifier", kScale);
     auto config = w->tunedConfig(4);
     config.innerTlpThreads = 1;
-    for (const auto protocol : {repro::core::CommitProtocol::Barrier,
-                                repro::core::CommitProtocol::Pipelined}) {
-        const repro::core::NativeRuntime native(4, protocol);
-        double seq_seconds = std::numeric_limits<double>::infinity();
-        for (int r = 0; r < 3; ++r) {
-            seq_seconds = std::min(
-                seq_seconds,
-                native.runSequential(w->model(), 42).wallSeconds);
-        }
-        repro::trace::MeasuredTrace mt;
-        repro::core::NativeRuntime::Result run;
-        for (int r = 0; r < 3; ++r) {
-            repro::trace::MeasuredTraceRecorder rec;
-            run = native.run(w->model(), config, 42, &rec);
-            repro::trace::MeasuredTrace cand = rec.finish();
-            if (r == 0 || cand.makespanUs() < mt.makespanUs())
-                mt = std::move(cand);
-        }
-
-        const OverheadBreakdown b = repro::analysis::analyzeMeasuredGraph(
-            mt.graph, 4, seq_seconds, run.commits, run.aborts);
-        EXPECT_DOUBLE_EQ(b.idealSpeedup, 4.0);
-        EXPECT_GT(b.actualSpeedup, 0.0);
-        EXPECT_EQ(b.commits, run.commits);
-        EXPECT_EQ(b.aborts, run.aborts);
-        for (double f : b.lostFraction) {
-            EXPECT_GE(f, 0.0);
-            EXPECT_LE(f, 1.0);
-        }
-        if (b.actualSpeedup > b.idealSpeedup)
-            continue; // Mis-timed baseline; partition is undefined.
-        // Exact when every rung stays below ideal; timing noise on a
-        // time-shared host can push counterfactual replays past it
-        // (their negative loss clamps to zero, overshooting the sum),
-        // so the tolerance is loose — it still catches accounting
-        // bugs, which break the partition by integer-like margins.
-        const double lost = std::accumulate(b.lostFraction.begin(),
-                                            b.lostFraction.end(), 0.0);
-        EXPECT_NEAR(lost + b.actualSpeedup / b.idealSpeedup, 1.0, 0.15);
+    const repro::core::NativeRuntime native(4);
+    double seq_seconds = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < 3; ++r) {
+        seq_seconds = std::min(
+            seq_seconds, native.runSequential(w->model(), 42).wallSeconds);
     }
+    repro::trace::MeasuredTrace mt;
+    repro::core::NativeRuntime::Result run;
+    for (int r = 0; r < 3; ++r) {
+        repro::trace::MeasuredTraceRecorder rec;
+        run = native.run(w->model(), config, 42, &rec);
+        repro::trace::MeasuredTrace cand = rec.finish();
+        if (r == 0 || cand.makespanUs() < mt.makespanUs())
+            mt = std::move(cand);
+    }
+
+    const OverheadBreakdown b = repro::analysis::analyzeMeasuredGraph(
+        mt.graph, 4, seq_seconds, run.commits, run.aborts);
+    EXPECT_DOUBLE_EQ(b.idealSpeedup, 4.0);
+    EXPECT_GT(b.actualSpeedup, 0.0);
+    EXPECT_EQ(b.commits, run.commits);
+    EXPECT_EQ(b.aborts, run.aborts);
+    for (double f : b.lostFraction) {
+        EXPECT_GE(f, 0.0);
+        EXPECT_LE(f, 1.0);
+    }
+    if (b.actualSpeedup > b.idealSpeedup)
+        return; // Mis-timed baseline; partition is undefined.
+    // Exact when every rung stays below ideal; timing noise on a
+    // time-shared host can push counterfactual replays past it (their
+    // negative loss clamps to zero, overshooting the sum), so the
+    // tolerance is loose — it still catches accounting bugs, which
+    // break the partition by integer-like margins.
+    const double lost = std::accumulate(b.lostFraction.begin(),
+                                        b.lostFraction.end(), 0.0);
+    EXPECT_NEAR(lost + b.actualSpeedup / b.idealSpeedup, 1.0, 0.15);
 }
 
 } // namespace

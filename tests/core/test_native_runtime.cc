@@ -17,8 +17,6 @@
 
 namespace {
 
-using repro::core::commitProtocolName;
-using repro::core::CommitProtocol;
 using repro::core::Engine;
 using repro::core::NativeRuntime;
 using repro::core::StatsConfig;
@@ -236,73 +234,63 @@ TEST(NativeRuntime, RecordedKindsMatchProtocolWhenAllCommit)
     // exactly the protocol's task population with true kinds — the
     // runSpan mislabeling bug tagged alt-producer and replica spans
     // ChunkBody, which this distribution catches.  On an all-commit
-    // run both protocols record the *same* population (every eager
-    // replica of the pipeline is the replica the barrier would have
-    // regenerated), so check both — except the phase-1 join, which
-    // only the barrier has and records as one Sync task.
+    // run every eager replica is the replica the committed snapshot
+    // would give, so none is discarded.
     EmaModel::Config mc;
     mc.inputs = 128;
     mc.alpha = 0.5;
     mc.tolerance = 0.1;
     const EmaModel model(mc);
     const unsigned C = 8, R = 3;
-    for (const auto protocol :
-         {CommitProtocol::Barrier, CommitProtocol::Pipelined}) {
-        const NativeRuntime native(4, protocol);
-        MeasuredTraceRecorder rec;
-        const auto result = native.run(model, cfg(C, 8, R), 17);
-        MeasuredTraceRecorder rec2;
-        const auto recorded = native.run(model, cfg(C, 8, R), 17, &rec2);
-        ASSERT_EQ(recorded.aborts, 0u);
-        ASSERT_EQ(recorded.commits, C - 1);
-        ASSERT_EQ(result.aborts, 0u);
+    const NativeRuntime native(4);
+    const auto result = native.run(model, cfg(C, 8, R), 17);
+    MeasuredTraceRecorder rec;
+    const auto recorded = native.run(model, cfg(C, 8, R), 17, &rec);
+    ASSERT_EQ(recorded.aborts, 0u);
+    ASSERT_EQ(recorded.commits, C - 1);
+    ASSERT_EQ(result.aborts, 0u);
 
-        const MeasuredTrace mt = rec2.finish();
-        const auto counts = kindCounts(mt);
-        const auto count = [&](TaskKind k) {
-            return counts[static_cast<std::size_t>(k)];
-        };
-        EXPECT_EQ(count(TaskKind::Setup), 1u);
-        // Bodies: chunk 0..C-2 split around the snapshot (2 each), the
-        // last chunk runs in one piece.
-        EXPECT_EQ(count(TaskKind::ChunkBody), 2u * (C - 1) + 1u);
-        EXPECT_EQ(count(TaskKind::AltProducer), C - 1);
-        // Replicas: (R-1) per boundary.
-        EXPECT_EQ(count(TaskKind::OriginalStateGen), (C - 1) * (R - 1));
-        // All-commit: every boundary matches on the first comparison.
-        EXPECT_EQ(count(TaskKind::StateCompare), C - 1);
-        EXPECT_EQ(count(TaskKind::MispecReExec), 0u);
-        // The barrier's join is recorded (measured caller wait); the
-        // pipeline has no join.
-        EXPECT_EQ(count(TaskKind::Sync),
-                  protocol == CommitProtocol::Barrier ? 1u : 0u);
-        // Copies: spec-state clone per alt chunk, snapshot clone per
-        // non-final chunk, replica clone per regenerated original.
-        EXPECT_EQ(count(TaskKind::StateCopy),
-                  (C - 1) + (C - 1) + (C - 1) * (R - 1));
-        // Every measured task carries a real (non-negative) duration.
-        for (const auto &t : mt.graph.tasks())
-            EXPECT_GE(t.work, 0.0);
-    }
+    const MeasuredTrace mt = rec.finish();
+    const auto counts = kindCounts(mt);
+    const auto count = [&](TaskKind k) {
+        return counts[static_cast<std::size_t>(k)];
+    };
+    EXPECT_EQ(count(TaskKind::Setup), 1u);
+    // Bodies: every chunk, the last included, splits around its
+    // snapshot.
+    EXPECT_EQ(count(TaskKind::ChunkBody), 2u * C);
+    EXPECT_EQ(count(TaskKind::AltProducer), C - 1);
+    // Replicas: (R-1) per boundary.
+    EXPECT_EQ(count(TaskKind::OriginalStateGen), (C - 1) * (R - 1));
+    // All-commit: every boundary matches on the first comparison.
+    EXPECT_EQ(count(TaskKind::StateCompare), C - 1);
+    EXPECT_EQ(count(TaskKind::MispecReExec), 0u);
+    // No global join.
+    EXPECT_EQ(count(TaskKind::Sync), 0u);
+    // Copies: spec-state clone per alt chunk, snapshot clone per
+    // chunk, replica clone per regenerated original.
+    EXPECT_EQ(count(TaskKind::StateCopy),
+              (C - 1) + C + (C - 1) * (R - 1));
+    // Every measured task carries a real (non-negative) duration.
+    for (const auto &t : mt.graph.tasks())
+        EXPECT_GE(t.work, 0.0);
 }
 
 TEST(NativeRuntime, RecordedKindsMarkAbortsAsMispec)
 {
-    // All-abort run: speculative bodies of aborted chunks are retagged
-    // MispecReExec (like the engine does) and the re-execution spans
-    // are recorded as MispecReExec, never ChunkBody.  Pinned to the
-    // barrier protocol, whose task population these exact counts
-    // describe; the pipelined protocol adds retagged eager replicas
-    // (covered by RecordedKindsPipelinedAbortRetagsEagerReplicas).
+    // All-abort run without replicas (R=1): speculative bodies of
+    // aborted chunks are retagged MispecReExec (like the engine does)
+    // and the re-execution spans are recorded as MispecReExec, never
+    // ChunkBody.
     EmaModel::Config mc;
     mc.inputs = 128;
     mc.alpha = 0.01;
     mc.tolerance = 1e-7;
     const EmaModel model(mc);
-    const NativeRuntime native(3, CommitProtocol::Barrier);
+    const NativeRuntime native(3);
     const unsigned C = 4;
     MeasuredTraceRecorder rec;
-    const auto recorded = native.run(model, cfg(C, 2, 2), 5, &rec);
+    const auto recorded = native.run(model, cfg(C, 2, 1), 5, &rec);
     ASSERT_EQ(recorded.aborts, C - 1);
 
     const MeasuredTrace mt = rec.finish();
@@ -310,23 +298,21 @@ TEST(NativeRuntime, RecordedKindsMarkAbortsAsMispec)
     const auto count = [&](TaskKind k) {
         return counts[static_cast<std::size_t>(k)];
     };
-    // Only chunk 0's body commits; every other speculative body (2
-    // split spans or 1 whole) plus its re-execution is MispecReExec.
+    // Only chunk 0's body commits; every other chunk's 2 speculative
+    // spans and 2 redo spans are MispecReExec.
     EXPECT_EQ(count(TaskKind::ChunkBody), 2u);
-    // Aborted chunks 1..C-2: 2 speculative spans + 2 redo spans; the
-    // last chunk: 1 + 1.
-    EXPECT_EQ(count(TaskKind::MispecReExec), 4u * (C - 2) + 2u);
+    EXPECT_EQ(count(TaskKind::MispecReExec), 4u * (C - 1));
     EXPECT_EQ(count(TaskKind::AltProducer), C - 1);
-    EXPECT_EQ(count(TaskKind::StateCompare),
-              recorded.commits + 2u * recorded.aborts);
-    EXPECT_EQ(count(TaskKind::Sync), 1u);
+    EXPECT_EQ(count(TaskKind::OriginalStateGen), 0u);
+    // One candidate per boundary: the committed final state.
+    EXPECT_EQ(count(TaskKind::StateCompare), C - 1);
 }
 
 TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
 {
-    // Pipelined all-abort run, C=4, R=2: every boundary's replica is
-    // generated eagerly from the speculative snapshot.  Chunk 0 is
-    // never speculative, so boundary 0's eager replica stays valid;
+    // All-abort run, C=4, R=2: every boundary's replica is generated
+    // eagerly from the speculative snapshot.  Chunk 0 is never
+    // speculative, so boundary 0's eager replica stays valid;
     // boundaries 1..C-2 follow an abort, so their eager replicas are
     // wasted work — retagged MispecReExec — and regenerated from the
     // re-executed snapshot.
@@ -335,7 +321,7 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     mc.alpha = 0.01;
     mc.tolerance = 1e-7;
     const EmaModel model(mc);
-    const NativeRuntime native(3, CommitProtocol::Pipelined);
+    const NativeRuntime native(3);
     const unsigned C = 4, R = 2;
     MeasuredTraceRecorder rec;
     const auto recorded = native.run(model, cfg(C, 2, R), 5, &rec);
@@ -350,18 +336,18 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     // boundary (R-1 = 1), eager for boundary 0, regenerated for the
     // rest.
     EXPECT_EQ(count(TaskKind::OriginalStateGen), (C - 1) * (R - 1));
-    // MispecReExec = the barrier population (speculative bodies of
-    // aborted chunks + redo spans: 4 per middle chunk, 2 for the
-    // last) plus the discarded eager replicas of boundaries 1..C-2.
+    // MispecReExec = speculative bodies of aborted chunks + redo spans
+    // (4 per aborted chunk) plus the discarded eager replicas of
+    // boundaries 1..C-2.
     EXPECT_EQ(count(TaskKind::MispecReExec),
-              4u * (C - 2) + 2u + (C - 2) * (R - 1));
+              4u * (C - 1) + (C - 2) * (R - 1));
     // Replica clones: one per eager replica plus one per
     // regeneration.
     EXPECT_EQ(count(TaskKind::StateCopy),
-              (C - 1) + (C - 1) /* spec + snapshot clones */
+              (C - 1) + C /* spec + snapshot clones */
                   + (C - 1) * (R - 1) /* eager replica clones */
                   + (C - 2) * (R - 1) /* regen replica clones */
-                  + (C - 2) /* redo snapshot clones */
+                  + (C - 1) /* redo snapshot clones */
                   + (C - 1) /* redo start clones */);
     EXPECT_EQ(count(TaskKind::ChunkBody), 2u);
     EXPECT_EQ(count(TaskKind::StateCompare),
@@ -369,22 +355,23 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     EXPECT_EQ(count(TaskKind::Sync), 0u);
 }
 
-TEST(NativeRuntime, BothProtocolsMatchEngineAcrossAbortHeavySweep)
+TEST(NativeRuntime, MatchesEngineAcrossAbortHeavySweep)
 {
-    // The tentpole acceptance criterion: for every (K, R) point of an
-    // abort-heavy sweep, both commit protocols — with and without a
-    // recorder attached — produce outputs, commits, and aborts
-    // bit-identical to the Engine::runStats oracle.  The EMA model's
-    // tight tolerance forces mispeculation on most boundaries, so the
-    // pipelined abort path (discard eager replicas, re-execute off the
-    // main thread, regenerate from the redo snapshot) is exercised
-    // throughout the sweep, not just on one config.
+    // For every (K, R) point of an abort-heavy sweep, the runtime —
+    // with and without a recorder attached — produces outputs,
+    // commits, and aborts bit-identical to the Engine::runStats
+    // oracle.  The EMA model's tight tolerance forces mispeculation on
+    // most boundaries, so the abort path (discard eager replicas,
+    // re-execute off the main thread, regenerate from the redo
+    // snapshot) is exercised throughout the sweep, not just on one
+    // config.
     const Engine engine;
     EmaModel::Config mc;
     mc.inputs = 160;
     mc.alpha = 0.05;
     mc.tolerance = 1e-6;
     const EmaModel model(mc);
+    const NativeRuntime native(4);
     unsigned total_aborts = 0;
     for (const unsigned k : {1u, 5u, 13u}) {
         for (const unsigned r : {1u, 2u, 4u}) {
@@ -392,32 +379,20 @@ TEST(NativeRuntime, BothProtocolsMatchEngineAcrossAbortHeavySweep)
             const auto logical =
                 engine.runStats(model, {}, TlpModel{}, config, 29);
             total_aborts += logical.aborts;
-            for (const auto protocol : {CommitProtocol::Barrier,
-                                        CommitProtocol::Pipelined}) {
-                const NativeRuntime native(4, protocol);
-                MeasuredTraceRecorder rec;
-                const auto plain = native.run(model, config, 29);
-                const auto recorded =
-                    native.run(model, config, 29, &rec);
-                for (const auto *run : {&plain, &recorded}) {
-                    const char *what =
-                        run == &plain ? "plain" : "recorded";
-                    EXPECT_EQ(run->commits, logical.commits)
-                        << commitProtocolName(protocol) << " " << what
-                        << " K=" << k << " R=" << r;
-                    EXPECT_EQ(run->aborts, logical.aborts)
-                        << commitProtocolName(protocol) << " " << what
-                        << " K=" << k << " R=" << r;
-                    ASSERT_EQ(run->outputs.size(),
-                              logical.outputs.size());
-                    for (std::size_t i = 0; i < run->outputs.size();
-                         ++i) {
-                        ASSERT_DOUBLE_EQ(run->outputs[i],
-                                         logical.outputs[i])
-                            << commitProtocolName(protocol) << " "
-                            << what << " K=" << k << " R=" << r
-                            << " input " << i;
-                    }
+            MeasuredTraceRecorder rec;
+            const auto plain = native.run(model, config, 29);
+            const auto recorded = native.run(model, config, 29, &rec);
+            for (const auto *run : {&plain, &recorded}) {
+                const char *what = run == &plain ? "plain" : "recorded";
+                EXPECT_EQ(run->commits, logical.commits)
+                    << what << " K=" << k << " R=" << r;
+                EXPECT_EQ(run->aborts, logical.aborts)
+                    << what << " K=" << k << " R=" << r;
+                ASSERT_EQ(run->outputs.size(), logical.outputs.size());
+                for (std::size_t i = 0; i < run->outputs.size(); ++i) {
+                    ASSERT_EQ(run->outputs[i], logical.outputs[i])
+                        << what << " K=" << k << " R=" << r << " input "
+                        << i;
                 }
             }
         }
@@ -425,28 +400,6 @@ TEST(NativeRuntime, BothProtocolsMatchEngineAcrossAbortHeavySweep)
     // The sweep must actually be abort-heavy, or it proves nothing
     // about the abort path.
     EXPECT_GT(total_aborts, 10u);
-}
-
-TEST(NativeRuntime, PipelinedMatchesBarrierOnRealWorkloads)
-{
-    // Same workload matrix as MatchesEngineOnRealWorkloads, but
-    // cross-checking the two protocols directly against each other.
-    for (const auto &name :
-         {"swaptions", "streamclassifier", "facetrack"}) {
-        const auto w = repro::workloads::makeWorkload(name, 0.25);
-        auto config = w->tunedConfig(14);
-        config.innerTlpThreads = 1;
-        const NativeRuntime barrier(4, CommitProtocol::Barrier);
-        const NativeRuntime pipelined(4, CommitProtocol::Pipelined);
-        const auto a = barrier.run(w->model(), config, 33);
-        const auto b = pipelined.run(w->model(), config, 33);
-        EXPECT_EQ(a.commits, b.commits) << name;
-        EXPECT_EQ(a.aborts, b.aborts) << name;
-        ASSERT_EQ(a.outputs.size(), b.outputs.size());
-        for (std::size_t i = 0; i < a.outputs.size(); ++i)
-            ASSERT_DOUBLE_EQ(a.outputs[i], b.outputs[i])
-                << name << " input " << i;
-    }
 }
 
 TEST(NativeRuntimeDeathTest, RequiresStatsTlp)

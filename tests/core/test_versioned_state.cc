@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the copy-on-write versioned state payload
- * (core/versioned_state.h): clone sharing and materialization under
- * both StateVersioning modes, aliasing safety across abort-style
+ * (core/versioned_state.h): clone sharing and materialization,
+ * aliasing safety across abort-style
  * drop/re-clone cycles, refcount teardown, dirty-block tracking,
  * incremental validation, and the concurrent readers + one writer
  * contract (the TSan job runs the VersionedState.* suite).
@@ -21,8 +21,6 @@
 
 namespace {
 
-using repro::core::ScopedStateVersioning;
-using repro::core::StateVersioning;
 using repro::core::VersionedBuffer;
 using repro::util::BlockArena;
 
@@ -50,7 +48,6 @@ TEST(VersionedState, FreshBufferIsZeroFilledAndClean)
 
 TEST(VersionedState, CowCloneSharesEveryBlock)
 {
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer a = filled(kBytes);
     const VersionedBuffer b(a);
     EXPECT_EQ(b.creationStats().blocksShared, 3u);
@@ -60,21 +57,8 @@ TEST(VersionedState, CowCloneSharesEveryBlock)
     EXPECT_TRUE(VersionedBuffer::contentEquals(a, b));
 }
 
-TEST(VersionedState, DeepCloneCopiesEveryBlock)
-{
-    const ScopedStateVersioning deep(StateVersioning::Deep);
-    const VersionedBuffer a = filled(kBytes);
-    const VersionedBuffer b(a);
-    EXPECT_EQ(b.creationStats().blocksShared, 0u);
-    EXPECT_EQ(b.creationStats().blocksCopied, 3u);
-    EXPECT_EQ(b.creationStats().bytesCopied, kBytes);
-    EXPECT_EQ(a.sharedBlocksWith(b), 0u);
-    EXPECT_TRUE(VersionedBuffer::contentEquals(a, b));
-}
-
 TEST(VersionedState, WriteMaterializesOnlyTheTouchedBlock)
 {
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer a = filled(kBytes);
     VersionedBuffer b(a);
     b.set<double>(0, -7.0); // Block 0 only.
@@ -94,7 +78,6 @@ TEST(VersionedState, WriteMaterializesOnlyTheTouchedBlock)
 
 TEST(VersionedState, FullOverwriteSwapsBlocksWithoutCopying)
 {
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer a = filled(kBytes);
     VersionedBuffer b(a);
     b.overwrite(0, kBytes,
@@ -109,7 +92,6 @@ TEST(VersionedState, FullOverwriteSwapsBlocksWithoutCopying)
 
 TEST(VersionedState, TransformReadsOldBytesWhileWritingFreshBlock)
 {
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer a = filled(kBytes);
     VersionedBuffer b(a);
     b.transform(0, kBytes,
@@ -133,7 +115,6 @@ TEST(VersionedState, AbortStyleDropAndReCloneKeepsSourceValid)
 {
     // The abort path: a speculative version diverges, is discarded,
     // and the original is re-cloned for re-execution.
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer original = filled(kBytes);
     {
         VersionedBuffer speculative(original);
@@ -156,7 +137,6 @@ TEST(VersionedState, RefcountTeardownReturnsEveryBlock)
 {
     BlockArena arena(512);
     {
-        const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
         const VersionedBuffer a = filled(2000, &arena); // 4 blocks.
         VersionedBuffer b(a);
         VersionedBuffer c(b);
@@ -175,7 +155,6 @@ TEST(VersionedState, DirtyBitmapResetsAtVersionBoundary)
     EXPECT_EQ(buf.dirtyBlockCount(), 1u);
     EXPECT_TRUE(buf.blockDirty(1));
     // A clone starts clean even though its source is dirty.
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer child(buf);
     EXPECT_EQ(child.dirtyBlockCount(), 0u);
 }
@@ -197,7 +176,6 @@ TEST(VersionedState, ContentEqualsAfterByteEqualRewrite)
 {
     // Materialized-but-equal blocks must still compare equal: the
     // cached-hash shortcut only proves inequality, never equality.
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer a = filled(kBytes);
     VersionedBuffer b(a);
     const double v = b.get<double>(10);
@@ -219,23 +197,12 @@ TEST(VersionedState, MixedBlockSizesCompareByContent)
     EXPECT_FALSE(VersionedBuffer::contentEquals(b, c));
 }
 
-TEST(VersionedState, DeepModeReportsZeroCopiedBytesAfterWrites)
-{
-    const ScopedStateVersioning deep(StateVersioning::Deep);
-    const VersionedBuffer a = filled(kBytes);
-    VersionedBuffer b(a);
-    b.set<double>(0, 2.0);
-    // Deep clones own every block up front: no CoW materializations.
-    EXPECT_EQ(b.copiedBytes(), 0u);
-}
-
 TEST(VersionedState, ConcurrentReadersOneWriter)
 {
     // The runtime's sharing pattern: one thread mutates its private
     // version (materializing blocks and releasing shared references)
     // while other threads read, hash, and compare versions that share
     // blocks with it.
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const VersionedBuffer original = filled(kBytes);
     VersionedBuffer writer_version(original);
     const VersionedBuffer reader_version(original);

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/ema_model.h"
-#include "core/versioned_state.h"
 #include "metrics/metrics.h"
 #include "serving/serving_runtime.h"
 #include "util/block_arena.h"
@@ -29,8 +28,6 @@
 
 namespace {
 
-using repro::core::ScopedStateVersioning;
-using repro::core::StateVersioning;
 using repro::serving::ResultChunk;
 using repro::serving::ServingOptions;
 using repro::serving::ServingRuntime;
@@ -376,10 +373,9 @@ TEST(ServingRuntime, ConcurrentSessionsDeliverIndependently)
 
 TEST(ServingRuntime, EvictionReturnsEveryArenaBlock)
 {
-    // A block-payload workload under CopyOnWrite allocates its session
+    // A block-payload workload allocates its session
     // state from the global BlockArena; evicting the session must
     // return every block it held.
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const auto workload = repro::workloads::makeWorkload("facetrack", 0.1);
     const auto &model = workload->model();
 

@@ -20,7 +20,6 @@
 #include "adapt/serving_adaptor.h"
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
-#include "core/versioned_state.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
 #include "util/thread_pool.h"
@@ -29,10 +28,7 @@ namespace {
 
 using repro::adapt::ControllerMode;
 using repro::adapt::ServingAdaptor;
-using repro::core::CommitProtocol;
 using repro::core::NativeRuntime;
-using repro::core::ScopedStateVersioning;
-using repro::core::StateVersioning;
 using repro::core::StatsConfig;
 using repro::serving::ResultChunk;
 using repro::serving::ServingOptions;
@@ -180,56 +176,49 @@ TEST(ServingAdapt, MidStreamKRSwapMatchesReconfiguredPipelineOracle)
     const EmaModel model(mc);
     const std::uint64_t seed = 33;
 
-    for (const auto versioning :
-         {StateVersioning::Deep, StateVersioning::CopyOnWrite}) {
-        const ScopedStateVersioning scoped(versioning);
-
-        // Oracle: 4 chunks of 8 at {K=2,R=1}, swap, 4 chunks at
-        // {K=5,R=2}.
-        SessionPipeline oracle(model, {2, 1}, seed,
-                               &repro::util::ThreadPool::global());
-        std::vector<double> expected;
-        for (int c = 0; c < 8; ++c) {
-            if (c == 4)
-                oracle.reconfigure({5, 2});
-            const auto chunk = oracle.processChunk(8);
-            expected.insert(expected.end(), chunk.outputs.begin(),
-                            chunk.outputs.end());
-        }
-
-        FakeClock clock;
-        ServingRuntime runtime(manualOptions(clock));
-        SizedCollector results;
-        SessionConfig cfg;
-        cfg.seed = seed;
-        cfg.stats.altWindowK = 2;
-        cfg.stats.numOriginalStates = 1;
-        cfg.chunkInputs = 8;
-        cfg.queueCapacity = 64;
-        cfg.onResult = results.fn();
-        const SessionId id = runtime.admit(model, cfg);
-
-        for (int i = 0; i < 32; ++i)
-            ASSERT_EQ(runtime.submit(id).status,
-                      SubmitStatus::Accepted);
-        runtime.poll(); // Chunks 0..3 close under {K=2,R=1}.
-        ASSERT_TRUE(runtime.retune(id, {8, 5, 2}));
-        for (int i = 0; i < 32; ++i)
-            ASSERT_EQ(runtime.submit(id).status,
-                      SubmitStatus::Accepted);
-        runtime.poll(); // Chunks 4..7 close under {K=5,R=2}.
-        runtime.drain(id);
-
-        const auto stats = runtime.sessionStats(id);
-        EXPECT_EQ(stats.retunesApplied, 1u);
-        EXPECT_EQ(stats.aborts, oracle.aborts());
-
-        const std::lock_guard<std::mutex> lock(results.mu);
-        ASSERT_EQ(results.outputs.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i)
-            ASSERT_EQ(results.outputs[i], expected[i]) << "input " << i;
-        runtime.evict(id);
+    // Oracle: 4 chunks of 8 at {K=2,R=1}, swap, 4 chunks at
+    // {K=5,R=2}.
+    SessionPipeline oracle(model, {2, 1}, seed,
+                           &repro::util::ThreadPool::global());
+    std::vector<double> expected;
+    for (int c = 0; c < 8; ++c) {
+        if (c == 4)
+            oracle.reconfigure({5, 2});
+        const auto chunk = oracle.processChunk(8);
+        expected.insert(expected.end(), chunk.outputs.begin(),
+                        chunk.outputs.end());
     }
+
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    SizedCollector results;
+    SessionConfig cfg;
+    cfg.seed = seed;
+    cfg.stats.altWindowK = 2;
+    cfg.stats.numOriginalStates = 1;
+    cfg.chunkInputs = 8;
+    cfg.queueCapacity = 64;
+    cfg.onResult = results.fn();
+    const SessionId id = runtime.admit(model, cfg);
+
+    for (int i = 0; i < 32; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    runtime.poll(); // Chunks 0..3 close under {K=2,R=1}.
+    ASSERT_TRUE(runtime.retune(id, {8, 5, 2}));
+    for (int i = 0; i < 32; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    runtime.poll(); // Chunks 4..7 close under {K=5,R=2}.
+    runtime.drain(id);
+
+    const auto stats = runtime.sessionStats(id);
+    EXPECT_EQ(stats.retunesApplied, 1u);
+    EXPECT_EQ(stats.aborts, oracle.aborts());
+
+    const std::lock_guard<std::mutex> lock(results.mu);
+    ASSERT_EQ(results.outputs.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(results.outputs[i], expected[i]) << "input " << i;
+    runtime.evict(id);
 }
 
 TEST(ServingAdapt, FrozenAdaptiveServingMatchesBatchOracle)

@@ -153,6 +153,25 @@ TEST(TaskGraphExecutor, DestructorWaitsForOutstandingNodes)
     EXPECT_TRUE(ran.load());
 }
 
+TEST(TaskGraphExecutor, StackExecutorSurvivesBackToBackTeardown)
+{
+    // The batch runtime builds one executor per run on its stack and
+    // destroys it the moment wait() returns.  A worker that dispatched
+    // the last node may still be returning from the hand-off at that
+    // point; it must never touch the executor after the waiter left.
+    // Many tiny graphs make that window likely on any host.
+    ThreadPool &pool = ThreadPool::global();
+    std::atomic<long> sum{0};
+    for (int g = 0; g < 100000; ++g) {
+        TaskGraphExecutor exec(pool);
+        const auto a = exec.add([&] { sum.fetch_add(1); });
+        const auto b = exec.add([&] { sum.fetch_add(1); }, {a});
+        exec.add([&] { sum.fetch_add(1); }, {b});
+        exec.wait();
+    }
+    EXPECT_EQ(sum.load(), 300000);
+}
+
 TEST(TaskGraphExecutor, NodeBodiesMayUseNestedParallelFor)
 {
     // The pipelined protocol's boundary nodes call pool.parallelFor

@@ -207,40 +207,6 @@ TEST(ThreadPool, ParallelForExplicitGrainFailsFast)
     EXPECT_LE(executed.load(), std::size_t{1024});
 }
 
-TEST(ThreadPool, ParallelForReportsCallerJoinWait)
-{
-    // With one helper pinned on a slow iteration the caller runs out
-    // of work and must block at the join: the measured wait is
-    // positive and roughly the helper's remaining runtime.
-    ThreadPool pool(2);
-    std::atomic<bool> slow_claimed{false};
-    double wait = -1.0;
-    pool.parallelFor(
-        2,
-        [&](std::size_t i) {
-            if (i == 1) {
-                slow_claimed.store(true);
-                std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            } else {
-                // Don't finish before the slow iteration was claimed,
-                // or the caller might claim both and never wait.
-                while (!slow_claimed.load())
-                    std::this_thread::yield();
-            }
-        },
-        /*max_concurrency=*/0, /*grain=*/1, &wait);
-    EXPECT_GE(wait, 0.0);
-
-    // Caller-only execution (stopped pool) has no one to wait for.
-    ThreadPool solo(1);
-    solo.stop();
-    double solo_wait = -1.0;
-    solo.parallelFor(
-        8, [](std::size_t) {}, 0, 0, &solo_wait);
-    EXPECT_GE(solo_wait, 0.0);
-    EXPECT_LT(solo_wait, 0.5);
-}
-
 TEST(ThreadPool, StopIsIdempotentAndDegradesGracefully)
 {
     ThreadPool pool(2);

@@ -8,14 +8,11 @@
 
 #include <cmath>
 
-#include "core/versioned_state.h"
 #include "util/rng.h"
 #include "workloads/particle_filter.h"
 
 namespace {
 
-using repro::core::ScopedStateVersioning;
-using repro::core::StateVersioning;
 using repro::util::Rng;
 using repro::workloads::ParticleCloud;
 
@@ -174,10 +171,10 @@ TEST(ParticleCloud, CopyIsDeep)
 
 TEST(ParticleCloud, MeanCacheMatchesLegacyScanBitwise)
 {
-    // The CoW-mode mean cache fills every dim in one particle-major
-    // pass; each dim must accumulate the exact operands in the exact
-    // order of the legacy per-dim scan, so the cached value is
-    // bit-identical (not merely close) to it.
+    // The mean cache fills every dim in one particle-major pass; each
+    // dim must accumulate the exact operands in the exact order of a
+    // per-dim scan, so the cached value is bit-identical (not merely
+    // close) to it.
     const auto build = [] {
         ParticleCloud c(523, 3); // Straddles block boundaries unevenly.
         c.spreadUniform(0.0, 100.0);
@@ -186,7 +183,6 @@ TEST(ParticleCloud, MeanCacheMatchesLegacyScanBitwise)
         c.weigh([&](unsigned p) { return -c.coord(p, 0) / 10.0; });
         return c;
     };
-    const ScopedStateVersioning cow(StateVersioning::CopyOnWrite);
     const ParticleCloud c = build();
     EXPECT_FALSE(c.estimatesWarm());
     for (unsigned d = 0; d < c.dims(); ++d) {
