@@ -4,12 +4,13 @@
  *
  * Every figure bench re-simulates logical task graphs; this harness
  * instead executes the STATS protocol with real threads
- * (core::NativeRuntime), records a measured task graph through
- * trace::MeasuredTraceRecorder, and feeds it to the same §V-B ladder
- * (analysis::analyzeMeasuredGraph) — printing the measured
- * per-category speedup losses next to the DES prediction for the same
- * (workload, config, seed).  The machine-readable baseline lives in
- * BENCH_native_overheads.json at the repo root.
+ * (core::NativeRuntime), rebuilds each run's measured task graph from
+ * the spans its protocol steps emitted (core::measuredTrace), and
+ * feeds it to the same §V-B ladder (analysis::analyzeMeasuredGraph) —
+ * printing the measured per-category speedup losses next to the DES
+ * prediction for the same (workload, config, seed).  The
+ * machine-readable baseline lives in BENCH_native_overheads.json at
+ * the repo root.
  *
  * Default config: facedet-and-track at full scale, 4 threads, 5
  * repeats.  facedet-and-track is the workload whose tuned config has
@@ -52,6 +53,7 @@
 #include "analysis/overheads.h"
 #include "bench/bench_common.h"
 #include "core/native_runtime.h"
+#include "core/stats_protocol.h"
 #include "metrics/metrics.h"
 #include "obs/flight_recorder.h"
 #include "obs/span_recorder.h"
@@ -108,21 +110,21 @@ ladderJson(std::ostringstream &json, const std::string &indent,
 struct RunReport
 {
     double statsSeconds = 0.0;
-    NativeRuntime::Result recorded;
-    bool identical = true; //!< Recording did not change the results.
+    NativeRuntime::Result kept; //!< The run whose graph is kept.
+    std::uint64_t poolTasks = 0; //!< pool.tasks_executed over it.
     trace::MeasuredTrace mt;
     platform::Schedule sched;
     analysis::CriticalPathReport cp;
     OverheadBreakdown measured;
 
-    /** Per-repeat sync+imbalance loss, one entry per recorded run. */
+    /** Per-repeat sync+imbalance loss, one entry per run. */
     std::vector<double> syncImbalanceSamples;
 
     /**
      * The §V-B synchronization plus imbalance losses, averaged over
-     * every recorded repeat.  The mean, not the selected recording's
-     * value: on a host with fewer cores than threads the OS decides per
-     * run which executor straggles, so only the expectation is stable.
+     * every repeat.  The mean, not the kept run's value: on a host
+     * with fewer cores than threads the OS decides per run which
+     * executor straggles, so only the expectation is stable.
      */
     double
     syncPlusImbalance() const
@@ -176,16 +178,9 @@ main(int argc, char **argv)
     const NativeRuntime rt(threads);
     RunReport run;
 
-    // Unrecorded STATS runs: the timing reference and identity oracle.
-    run.statsSeconds = std::numeric_limits<double>::infinity();
-    NativeRuntime::Result plain;
-    for (int r = 0; r < repeats; ++r) {
-        plain = rt.run(model, config, opt.seed);
-        run.statsSeconds = std::min(run.statsSeconds, plain.wallSeconds);
-    }
-
-    // Recorded runs: same results, plus the measured task graph.  Keep
-    // the recording that used the most executor lanes and, among
+    // STATS runs: wall time is the best of repeats, and each run's
+    // measured task graph is rebuilt from the spans inside its window.
+    // Keep the graph that used the most executor lanes and, among
     // those, the smallest makespan.  Preferring lanes first matters on
     // hosts with fewer cores than threads: there a repeat can
     // degenerate to one executor draining every chunk itself — a
@@ -193,15 +188,21 @@ main(int argc, char **argv)
     // constraints — and such a run must not represent the protocol.
     // On an unloaded multi-core host every repeat uses all lanes and
     // the rule reduces to plain min-makespan (the run the OS disturbed
-    // least, same best-of-repeats rule as the timings above).
+    // least, same best-of-repeats rule as the wall time).
+    obs::SpanRecorder &spans = obs::SpanRecorder::global();
+    const metrics::Counter &pool_tasks =
+        metrics::MetricsRegistry::global().counter("pool.tasks_executed");
+    run.statsSeconds = std::numeric_limits<double>::infinity();
     for (int r = 0; r < repeats; ++r) {
-        trace::MeasuredTraceRecorder recorder;
-        const NativeRuntime::Result recorded =
-            rt.run(model, config, opt.seed, &recorder);
-        trace::MeasuredTrace mt = recorder.finish();
+        const std::uint64_t mark = spans.nextId();
+        const std::uint64_t tasks_before = pool_tasks.value();
+        const NativeRuntime::Result result = rt.run(model, config, opt.seed);
+        const std::uint64_t tasks = pool_tasks.value() - tasks_before;
+        run.statsSeconds = std::min(run.statsSeconds, result.wallSeconds);
+        trace::MeasuredTrace mt =
+            core::measuredTrace(spans.snapshot().spans, mark);
         const OverheadBreakdown ladder = analysis::analyzeMeasuredGraph(
-            mt.graph, threads, seq_seconds, recorded.commits,
-            recorded.aborts);
+            mt.graph, threads, seq_seconds, result.commits, result.aborts);
         run.syncImbalanceSamples.push_back(
             lost(ladder, OverheadCategory::Synchronization) +
             lost(ladder, OverheadCategory::Imbalance));
@@ -211,17 +212,15 @@ main(int argc, char **argv)
              mt.makespanUs() < run.mt.makespanUs());
         if (better) {
             run.mt = std::move(mt);
-            run.recorded = recorded;
+            run.kept = result;
+            run.poolTasks = tasks;
         }
-        run.identical = run.identical && sameResult(recorded, plain);
     }
-    if (!run.identical)
-        REPRO_LOG_WARN("recording changed the results — observer bug");
     run.sched = platform::measuredSchedule(run.mt);
     run.cp = analysis::criticalPathReport(run.sched, run.mt.graph);
     run.measured = analysis::analyzeMeasuredGraph(
-        run.mt.graph, threads, seq_seconds, run.recorded.commits,
-        run.recorded.aborts);
+        run.mt.graph, threads, seq_seconds, run.kept.commits,
+        run.kept.aborts);
 
     // Price the always-on metrics: collection on vs off, interleaved
     // so clock drift and cache warm-up hit both states alike, best of
@@ -339,8 +338,8 @@ main(int argc, char **argv)
     std::cout << "seq " << formatDouble(seq_seconds * 1e3, 2)
               << " ms, stats " << formatDouble(run.statsSeconds * 1e3, 2)
               << " ms (wall speedup " << formatDouble(wall_speedup, 2)
-              << "x), " << run.recorded.commits << " commits, "
-              << run.recorded.aborts << " aborts, "
+              << "x), " << run.kept.commits << " commits, "
+              << run.kept.aborts << " aborts, "
               << run.mt.graph.size() << " measured tasks on "
               << run.mt.laneCount << " lanes, sync+imbalance "
               << formatPercent(run.syncPlusImbalance()) << "\n";
@@ -385,19 +384,15 @@ main(int argc, char **argv)
          << "  \"tracing_identical\": "
          << (tracing_identical ? "true" : "false") << ",\n"
          << "  \"native\": {\n"
-         << "    \"identical_with_recording\": "
-         << (run.identical ? "true" : "false") << ",\n"
-         << "    \"commits\": " << run.recorded.commits << ",\n"
-         << "    \"aborts\": " << run.recorded.aborts << ",\n"
+         << "    \"commits\": " << run.kept.commits << ",\n"
+         << "    \"aborts\": " << run.kept.aborts << ",\n"
          << "    \"stats_seconds\": " << run.statsSeconds << ",\n"
          << "    \"wall_speedup\": " << wall_speedup << ",\n"
          << "    \"measured_tasks\": " << run.mt.graph.size() << ",\n"
          << "    \"measured_lanes\": " << run.mt.laneCount << ",\n"
          << "    \"measured_makespan_us\": " << run.mt.makespanUs()
          << ",\n"
-         << "    \"pool_tasks\": " << run.mt.poolTasks << ",\n"
-         << "    \"pool_busy_seconds\": " << run.mt.poolBusySeconds
-         << ",\n"
+         << "    \"pool_tasks\": " << run.poolTasks << ",\n"
          << "    \"critical_path\": {\"busy_us\": " << run.cp.busyCycles
          << ", \"wait_us\": " << run.cp.waitCycles
          << ", \"makespan_us\": " << run.cp.makespan

@@ -104,8 +104,9 @@ struct ExtraComputationBreakdown
 };
 
 /**
- * The §V-B ladder applied to a *measured* task graph (a native run
- * recorded by trace::MeasuredTraceRecorder through NativeRuntime).
+ * The §V-B ladder applied to a *measured* task graph (a native
+ * NativeRuntime run, rebuilt from its spans by core::measuredTrace:
+ * one task per protocol step).
  *
  * Work units are microseconds, so the graph is re-simulated on
  * MachineModel::measured(cores) — 1 cycle = 1 us, no modeled
@@ -122,7 +123,7 @@ struct ExtraComputationBreakdown
  * @param cores Parallelism the run was allowed (ideal speedup).
  * @param sequential_seconds Measured wall-clock time of the native
  *        sequential program on the same (model, seed).
- * @param commits,aborts Speculation outcome of the recorded run.
+ * @param commits,aborts Speculation outcome of the measured run.
  */
 OverheadBreakdown
 analyzeMeasuredGraph(const trace::TaskGraph &graph, unsigned cores,

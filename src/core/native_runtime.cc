@@ -4,7 +4,6 @@
 
 #include "core/stats_protocol.h"
 #include "metrics/metrics.h"
-#include "trace/measured_trace.h"
 #include "util/log.h"
 #include "util/task_graph_executor.h"
 #include "util/thread_pool.h"
@@ -32,34 +31,6 @@ runMetrics()
     return m;
 }
 
-/**
- * Installs the recorder's profiler on the shared pool for the scope
- * of one recorded run, restoring the previous profiler on exit, so
- * the measured trace also captures real worker occupancy.
- */
-class ScopedPoolProfile
-{
-  public:
-    ScopedPoolProfile(util::ThreadPool &pool,
-                      trace::MeasuredTraceRecorder *recorder)
-        : pool_(pool), active_(recorder != nullptr)
-    {
-        if (active_)
-            previous_ = pool_.setProfiler(recorder->poolProfiler());
-    }
-
-    ~ScopedPoolProfile()
-    {
-        if (active_)
-            pool_.setProfiler(std::move(previous_));
-    }
-
-  private:
-    util::ThreadPool &pool_;
-    bool active_;
-    std::shared_ptr<util::ThreadPool::Profiler> previous_;
-};
-
 double
 secondsSince(std::chrono::steady_clock::time_point start)
 {
@@ -76,8 +47,8 @@ NativeRuntime::NativeRuntime(unsigned max_threads)
 }
 
 NativeRuntime::Result
-NativeRuntime::runSequential(const IStateModel &model, std::uint64_t seed,
-                             trace::MeasuredTraceRecorder *recorder) const
+NativeRuntime::runSequential(const IStateModel &model,
+                             std::uint64_t seed) const
 {
     runMetrics().sequentialRuns.inc();
     const auto start = std::chrono::steady_clock::now();
@@ -85,20 +56,15 @@ NativeRuntime::runSequential(const IStateModel &model, std::uint64_t seed,
     result.outputs.resize(model.numInputs());
     StateHandle state = model.initialState();
     util::Rng rng = util::Rng(seed).split(1);
-    const trace::TaskId body =
-        recorder ? recorder->begin(trace::TaskKind::ChunkBody, 0) : kNoTask;
     runUpdates(model, *state, 0, model.numInputs(), rng,
                result.outputs.data(), trace::TaskKind::ChunkBody);
-    if (recorder)
-        recorder->end(body);
     result.wallSeconds = secondsSince(start);
     return result;
 }
 
 NativeRuntime::Result
 NativeRuntime::run(const IStateModel &model, const StatsConfig &config,
-                   std::uint64_t seed,
-                   trace::MeasuredTraceRecorder *recorder) const
+                   std::uint64_t seed) const
 {
     config.validate(model.numInputs());
     if (!config.useStatsTlp)
@@ -106,19 +72,17 @@ NativeRuntime::run(const IStateModel &model, const StatsConfig &config,
 
     if (config.numChunks == 1) {
         // Degenerate single chunk: the sequential program.
-        return runSequential(model, seed, recorder);
+        return runSequential(model, seed);
     }
 
     const auto start = std::chrono::steady_clock::now();
     runMetrics().statsRuns.inc();
     util::ThreadPool &pool = util::ThreadPool::global();
-    const ScopedPoolProfile profile(pool, recorder);
     const std::size_t n = model.numInputs();
     const unsigned C = config.numChunks;
     const unsigned replicas = config.numOriginalStates - 1;
 
     StatsProtocol protocol(model, seed, &pool, maxThreads);
-    protocol.record(recorder, C, replicas);
     std::vector<ChunkRun> chunks;
     chunks.reserve(C);
     for (unsigned c = 0; c < C; ++c)

@@ -24,20 +24,18 @@
  * never after *all* chunks.  When chunk c was re-executed instead of
  * committed, its eager replicas grew from a snapshot that never became
  * real state: the resolve node regrows them from the re-executed
- * snapshot with the same RNG streams (and the measured trace retags
- * the discarded ones MispecReExec).  Outputs, commits, and aborts are
+ * snapshot with the same RNG streams.  Outputs, commits, and aborts are
  * therefore bit-identical to Engine::runStats for any (model, config,
  * seed) — the cross-validation tests in tests/core enforce it.
  *
- * Passing a trace::MeasuredTraceRecorder to run()/runSequential()
- * additionally emits a *measured* task graph of the execution —
- * every protocol step (chunk bodies, alt-producer replays, state
- * copies, replica regeneration, comparisons, abort re-execution)
- * becomes a correctly-kinded trace::Task whose work is its measured
- * wall-clock duration in microseconds, with dependency edges
- * mirroring the protocol.  Recording never changes results: outputs,
- * commits, and aborts are bit-identical with and without a recorder
- * (enforced by tests/core).
+ * Every step of run() emits its obs span (session 0), and those spans
+ * are the run's measured record: core::measuredTrace
+ * (core/stats_protocol.h) rebuilds the §V-B task graph of the
+ * execution from them — each step a correctly-kinded trace::Task whose
+ * work is its wall-clock duration in microseconds, with dependency
+ * edges mirroring the protocol.  Tracing never changes results:
+ * outputs, commits, and aborts are bit-identical with spans on and
+ * off (enforced by tests/core).
  */
 
 #ifndef REPRO_CORE_NATIVE_RUNTIME_H
@@ -48,10 +46,6 @@
 
 #include "core/config.h"
 #include "core/state_model.h"
-
-namespace repro::trace {
-class MeasuredTraceRecorder;
-} // namespace repro::trace
 
 namespace repro::core {
 
@@ -83,21 +77,13 @@ class NativeRuntime
      * @pre config.useStatsTlp (the native path runs the STATS model;
      *      inner original-TLP fan-out is not re-executed natively —
      *      it parallelizes within update() in the real system).
-     *
-     * @param recorder When non-null, receives the measured task graph
-     *        of this run (see the file comment); results are
-     *        unchanged.  The recorder must be fresh (empty) and is
-     *        also installed as the shared pool's profiler for the
-     *        duration of the run.
      */
     Result run(const IStateModel &model, const StatsConfig &config,
-               std::uint64_t seed,
-               trace::MeasuredTraceRecorder *recorder = nullptr) const;
+               std::uint64_t seed) const;
 
     /** The sequential program, for output comparison and speedup. */
-    Result
-    runSequential(const IStateModel &model, std::uint64_t seed,
-                  trace::MeasuredTraceRecorder *recorder = nullptr) const;
+    Result runSequential(const IStateModel &model,
+                         std::uint64_t seed) const;
 
   private:
     unsigned maxThreads;

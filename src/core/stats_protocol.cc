@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "core/versioned_state.h"
 #include "metrics/metrics.h"
 #include "obs/abort_report.h"
 #include "obs/span_recorder.h"
-#include "trace/measured_trace.h"
+#include "util/log.h"
 #include "util/thread_pool.h"
 
 namespace repro::core {
@@ -17,9 +20,6 @@ namespace {
 
 using trace::TaskId;
 using trace::TaskKind;
-
-/** Logical recorder thread of the in-order commit chain. */
-constexpr trace::ThreadId kCommitThread = 0;
 
 /**
  * The runtime.* metric family, ticked here for batch and serving alike
@@ -142,6 +142,14 @@ fillPayloadDiff(const State &spec, const State &candidate,
     cmp.bytesCompared = d.bytesCompared;
 }
 
+[[noreturn]] void
+incompleteWindow(const std::string &why)
+{
+    util::fatal("measuredTrace: the span window is not one complete "
+                "batch run: " +
+                why);
+}
+
 } // namespace
 
 void
@@ -175,53 +183,30 @@ StatsProtocol::StatsProtocol(const IStateModel &model, std::uint64_t seed,
 }
 
 void
-StatsProtocol::record(trace::MeasuredTraceRecorder *recorder,
-                      unsigned chunks, unsigned replicas)
-{
-    rec_ = recorder;
-    chunks_ = chunks;
-    replicaLanes_ = replicas;
-    setupTask_ = begin(TaskKind::Setup, kCommitThread, trace::kNoChunk);
-    end(setupTask_);
-}
-
-void
 StatsProtocol::speculateHead(ChunkRun &ch) const
 {
-    const trace::ThreadId th = chunkThread(ch.index);
     if (ch.index == 0) {
         ch.working = model_.initialState();
     } else {
         Step alt(&protocolMetrics().altProducer,
                  obs::SpanKind::AltProducer, parent_, session_, ch.index,
                  ch.begin, ch.end - ch.begin, ch.altWindowK);
-        const TaskId altTask = begin(TaskKind::AltProducer, th, ch.index);
-        dep(setupTask_, altTask);
         ch.working = model_.coldState();
         util::Rng rng = base_.split(2000 + ch.index);
         const std::size_t from =
             ch.begin >= ch.altWindowK ? ch.begin - ch.altWindowK : 0;
         runUpdates(model_, *ch.working, from, ch.begin, rng, nullptr,
                    TaskKind::AltProducer);
-        end(altTask);
-        ch.specCopyTask = begin(TaskKind::StateCopy, th, ch.index);
         ch.specEntry = clone(*ch.working);
-        end(ch.specCopyTask);
         ch.altSeconds = alt.finish();
     }
 
     Step body(&protocolMetrics().chunkBody, obs::SpanKind::ChunkBody,
               parent_, session_, ch.index, ch.begin, ch.snap - ch.begin);
     ch.bodyRng = base_.split(1000 + ch.index);
-    ch.headTask = begin(TaskKind::ChunkBody, th, ch.index);
-    if (ch.index == 0)
-        dep(setupTask_, ch.headTask);
     runUpdates(model_, *ch.working, ch.begin, ch.snap, ch.bodyRng,
                ch.outputs.data(), TaskKind::ChunkBody);
-    end(ch.headTask);
-    ch.snapshotTask = begin(TaskKind::StateCopy, th, ch.index);
     ch.snapshot = clone(*ch.working);
-    end(ch.snapshotTask);
     ch.bodySeconds = body.finish();
 }
 
@@ -230,36 +215,25 @@ StatsProtocol::speculateTail(ChunkRun &ch) const
 {
     Step body(&protocolMetrics().chunkBody, obs::SpanKind::ChunkBody,
               parent_, session_, ch.index, ch.snap, ch.end - ch.snap);
-    ch.tailTask = begin(TaskKind::ChunkBody, chunkThread(ch.index),
-                        ch.index);
     runUpdates(model_, *ch.working, ch.snap, ch.end, ch.bodyRng,
                ch.outputs.data() + (ch.snap - ch.begin),
                TaskKind::ChunkBody);
-    end(ch.tailTask);
     ch.finalState = std::move(ch.working);
     ch.bodySeconds += body.finish();
 }
 
 void
 StatsProtocol::grow(unsigned boundary, unsigned rep, const State &source,
-                    TaskId source_task, std::size_t from, std::size_t to,
-                    Replicas &out) const
+                    std::size_t from, std::size_t to, Replicas &out) const
 {
     Step step(&protocolMetrics().replicaGen, obs::SpanKind::ReplicaRegen,
               parent_, session_, boundary, from, to - from, rep);
-    const trace::ThreadId th = replicaThread(boundary, rep);
-    const TaskId copyTask = begin(TaskKind::StateCopy, th, boundary);
-    dep(source_task, copyTask);
     StateHandle replica = clone(source);
-    end(copyTask);
-    const TaskId task = begin(TaskKind::OriginalStateGen, th, boundary);
     util::Rng rng = base_.split(3000 + boundary * 128 + rep);
     runUpdates(model_, *replica, from, to, rng, nullptr,
                TaskKind::OriginalStateGen);
-    end(task);
     protocolMetrics().replicaRegens.inc();
     out.states[rep] = std::move(replica);
-    out.tasks[rep] = task;
     out.seconds[rep] = step.finish();
 }
 
@@ -267,21 +241,16 @@ void
 StatsProtocol::growReplica(const ChunkRun &ch, unsigned rep,
                            Replicas &out) const
 {
-    grow(ch.index, rep, *ch.snapshot, ch.snapshotTask, ch.snap, ch.end,
-         out);
+    grow(ch.index, rep, *ch.snapshot, ch.snap, ch.end, out);
 }
 
 void
 StatsProtocol::regrowReplicas(Replicas &out) const
 {
-    // Replicas already present grew from a snapshot that never became
-    // committed state: wasted speculation, like an aborted body.
-    for (const TaskId stale : out.tasks)
-        retag(stale, TaskKind::MispecReExec);
     const Committed &from = committed_;
     const auto one = [&](std::size_t rep) {
         grow(from.chunk, static_cast<unsigned>(rep), *from.snapshot,
-             from.snapshotTask, from.snap, from.end, out);
+             from.snap, from.end, out);
     };
     if (pool_ && out.states.size() > 1) {
         pool_->parallelFor(out.states.size(), one, maxConcurrency_);
@@ -300,8 +269,6 @@ StatsProtocol::adopt(ChunkRun &ch)
     committed_.snap = ch.snap;
     committed_.end = ch.end;
     committed_.speculative = true;
-    committed_.finalTask = ch.tailTask;
-    committed_.snapshotTask = ch.snapshotTask;
 }
 
 void
@@ -317,33 +284,23 @@ bool
 StatsProtocol::resolve(ChunkRun &next, Replicas &replicas)
 {
     ProtocolMetrics &m = protocolMetrics();
-    const unsigned boundary = next.index - 1;
     const std::size_t count = next.end - next.begin;
 
     Step val(&m.validation, obs::SpanKind::Validation, parent_, session_,
              next.index, next.begin, count);
-    const auto compare = [&](const State &original, bool first) {
-        const TaskId cmp =
-            begin(TaskKind::StateCompare, kCommitThread, boundary);
-        if (first) {
-            dep(committed_.finalTask, cmp);
-            dep(next.specCopyTask, cmp);
-            for (const TaskId rt : replicas.tasks)
-                dep(rt, cmp);
-        }
+    const auto compare = [&](const State &original) {
         const bool ok = model_.matches(*next.specEntry, original);
-        end(cmp);
         m.compares.inc();
         (ok ? m.matches : m.mismatches).inc();
         return ok;
     };
-    const bool matchedFirst = compare(*committed_.finalState, true);
+    const bool matchedFirst = compare(*committed_.finalState);
     bool matched = matchedFirst;
     std::int64_t candidate = matched ? -1 : -2;
     std::int64_t compared = 1;
     for (std::size_t rep = 0; !matched && rep < replicas.states.size();
          ++rep) {
-        matched = compare(*replicas.states[rep], false);
+        matched = compare(*replicas.states[rep]);
         ++compared;
         if (matched)
             candidate = static_cast<std::int64_t>(rep);
@@ -386,30 +343,14 @@ StatsProtocol::resolve(ChunkRun &next, Replicas &replicas)
 void
 StatsProtocol::reexecute(ChunkRun &ch)
 {
-    // The speculative body was wasted work, as the engine retags it.
-    retag(ch.headTask, TaskKind::MispecReExec);
-    retag(ch.tailTask, TaskKind::MispecReExec);
-    const TaskId copyTask =
-        begin(TaskKind::StateCopy, kCommitThread, ch.index);
-    dep(committed_.finalTask, copyTask);
     StateHandle redo = clone(*committed_.finalState);
-    end(copyTask);
     util::Rng rng = base_.split(5000 + ch.index);
-    const TaskId head =
-        begin(TaskKind::MispecReExec, kCommitThread, ch.index);
     runUpdates(model_, *redo, ch.begin, ch.snap, rng, ch.outputs.data(),
                TaskKind::MispecReExec);
-    end(head);
-    const TaskId snapshotTask =
-        begin(TaskKind::StateCopy, kCommitThread, ch.index);
     std::shared_ptr<const State> snapshot = clone(*redo);
-    end(snapshotTask);
-    const TaskId tail =
-        begin(TaskKind::MispecReExec, kCommitThread, ch.index);
     runUpdates(model_, *redo, ch.snap, ch.end, rng,
                ch.outputs.data() + (ch.snap - ch.begin),
                TaskKind::MispecReExec);
-    end(tail);
     ch.aborted = true;
 
     // Straight to committed_, not through ch: NativeRuntime's eager
@@ -420,8 +361,6 @@ StatsProtocol::reexecute(ChunkRun &ch)
     committed_.snap = ch.snap;
     committed_.end = ch.end;
     committed_.speculative = false;
-    committed_.finalTask = tail;
-    committed_.snapshotTask = snapshotTask;
 }
 
 void
@@ -494,32 +433,149 @@ StatsProtocol::clone(const State &source) const
     return copy;
 }
 
-TaskId
-StatsProtocol::begin(TaskKind kind, trace::ThreadId thread,
-                     std::int32_t chunk) const
+trace::MeasuredTrace
+measuredTrace(const std::vector<obs::Span> &spans,
+              std::uint64_t after_span_id)
 {
-    return rec_ ? rec_->begin(kind, thread, chunk) : kNoTask;
-}
+    using obs::SpanKind;
+    std::vector<obs::Span> window;
+    for (const obs::Span &s : spans) {
+        if (s.session == 0 && s.id > after_span_id)
+            window.push_back(s);
+    }
+    std::sort(window.begin(), window.end(),
+              [](const obs::Span &a, const obs::Span &b) {
+                  return a.id < b.id;
+              });
 
-void
-StatsProtocol::end(TaskId id) const
-{
-    if (rec_)
-        rec_->end(id);
-}
+    // The run's shape, then a check that every step is there once.
+    std::int64_t chunks = 0, lanes = 0;
+    for (const obs::Span &s : window) {
+        if (s.kind == SpanKind::ChunkBody)
+            chunks = std::max(chunks, s.chunk + 1);
+        else if (s.kind == SpanKind::ReplicaRegen)
+            lanes = std::max(lanes, s.detail + 1);
+    }
+    if (chunks < 2)
+        incompleteWindow("no chunk_body beyond chunk 0 (tracing off, or "
+                         "a single-chunk run)");
+    struct Steps
+    {
+        unsigned alt = 0, body = 0, validation = 0, abort = 0, reexec = 0;
+    };
+    std::vector<Steps> steps(chunks);
+    std::vector<unsigned> replicaSpans((chunks - 1) * lanes, 0);
+    std::uint64_t origin = std::numeric_limits<std::uint64_t>::max();
+    for (const obs::Span &s : window) {
+        unsigned Steps::*count = nullptr; // Null: a replica_regen.
+        switch (s.kind) {
+          case SpanKind::AltProducer: count = &Steps::alt; break;
+          case SpanKind::ChunkBody: count = &Steps::body; break;
+          case SpanKind::ReplicaRegen: break;
+          case SpanKind::Validation: count = &Steps::validation; break;
+          case SpanKind::Abort: count = &Steps::abort; break;
+          case SpanKind::ReExec: count = &Steps::reexec; break;
+          default: continue; // Commit markers; other layers' spans.
+        }
+        if (s.chunk < 0 || s.chunk >= (count ? chunks : chunks - 1) ||
+            (!count && s.detail < 0))
+            incompleteWindow("span " + std::to_string(s.id) +
+                             " is outside the run");
+        if (count)
+            ++(steps[s.chunk].*count);
+        else
+            ++replicaSpans[s.chunk * lanes + s.detail];
+        if (s.kind != SpanKind::Abort)
+            origin = std::min(origin, s.startNs);
+    }
+    for (std::int64_t c = 0; c < chunks; ++c) {
+        const Steps &st = steps[c];
+        const unsigned speculative = c > 0 ? 1 : 0;
+        bool whole = st.body == 2 && st.alt == speculative &&
+                     st.validation == speculative &&
+                     st.abort <= speculative && st.reexec == st.abort;
+        for (std::int64_t r = 0; c + 1 < chunks && r < lanes; ++r)
+            whole = whole && replicaSpans[c * lanes + r] == 1 + st.abort;
+        if (!whole)
+            incompleteWindow("chunk " + std::to_string(c) +
+                             " lacks a step or has one twice");
+    }
 
-void
-StatsProtocol::dep(TaskId before, TaskId after) const
-{
-    if (rec_ && before != kNoTask && after != kNoTask)
-        rec_->addDep(before, after);
-}
-
-void
-StatsProtocol::retag(TaskId id, TaskKind kind) const
-{
-    if (rec_ && id != kNoTask)
-        rec_->retag(id, kind);
+    constexpr TaskId kNone = std::numeric_limits<TaskId>::max();
+    // Per chunk: its head body, its committed final state (tail, or
+    // reexec once it aborted), its alt_producer and its reexec; per
+    // replica lane, its latest span.
+    std::vector<TaskId> head(chunks, kNone), finalOf(chunks, kNone),
+        alt(chunks, kNone), reexec(chunks, kNone),
+        replica((chunks - 1) * lanes, kNone);
+    trace::MeasuredTrace mt;
+    std::map<std::uint32_t, unsigned> laneOf;
+    const auto add = [&](const obs::Span &s, TaskKind kind,
+                         std::int64_t thread) {
+        const double start = static_cast<double>(s.startNs - origin) * 1e-3;
+        const double finish = static_cast<double>(s.endNs - origin) * 1e-3;
+        const TaskId id = mt.graph.addTask(
+            kind, static_cast<trace::ThreadId>(thread), finish - start,
+            static_cast<std::int32_t>(s.chunk));
+        mt.startUs.push_back(start);
+        mt.finishUs.push_back(finish);
+        mt.lane.push_back(
+            laneOf.try_emplace(s.thread, laneOf.size()).first->second);
+        return id;
+    };
+    const auto dep = [&](TaskId before, TaskId after) {
+        if (before >= after)
+            incompleteWindow("a step started before one it waits for");
+        mt.graph.addDep(before, after);
+    };
+    for (const obs::Span &s : window) {
+        const std::int64_t c = s.chunk;
+        switch (s.kind) {
+          case SpanKind::AltProducer:
+            alt[c] = add(s, TaskKind::AltProducer, 1 + c);
+            break;
+          case SpanKind::ChunkBody: {
+            const TaskId t = add(s,
+                                 steps[c].abort ? TaskKind::MispecReExec
+                                                : TaskKind::ChunkBody,
+                                 1 + c);
+            (head[c] == kNone ? head[c] : finalOf[c]) = t;
+            break;
+          }
+          case SpanKind::ReplicaRegen: {
+            // After an abort of chunk c the pair's first span is the
+            // eager replica, grown from a snapshot that never became
+            // state; the second regrew from the re-execution.
+            TaskId &latest = replica[c * lanes + s.detail];
+            const bool regrown = latest != kNone;
+            const TaskId t = add(s,
+                                 steps[c].abort && !regrown
+                                     ? TaskKind::MispecReExec
+                                     : TaskKind::OriginalStateGen,
+                                 1 + chunks + c * lanes + s.detail);
+            dep(head[c], t);
+            if (regrown)
+                dep(reexec[c], t);
+            latest = t;
+            break;
+          }
+          case SpanKind::Validation: {
+            const TaskId t = add(s, TaskKind::StateCompare, 0);
+            dep(finalOf[c - 1], t);
+            dep(alt[c], t);
+            for (std::int64_t r = 0; r < lanes; ++r)
+                dep(replica[(c - 1) * lanes + r], t);
+            break;
+          }
+          case SpanKind::ReExec:
+            reexec[c] = finalOf[c] = add(s, TaskKind::MispecReExec, 0);
+            break;
+          default:
+            break; // Commit and abort markers; other layers' spans.
+        }
+    }
+    mt.laneCount = static_cast<unsigned>(laneOf.size());
+    return mt;
 }
 
 } // namespace repro::core

@@ -41,10 +41,10 @@
  * one sample of its runtime.* latency histogram, both taken from the
  * same two timestamps.  The protocol counters (commits, aborts,
  * compares and their match split, replica regenerations, state copies)
- * tick here for both callers.  An optional trace::MeasuredTraceRecorder
- * (set by NativeRuntime only) additionally receives every step as a
- * kinded task with the protocol's dependency edges.  None of it
- * changes a result.
+ * tick here for both callers.  The spans are the only record of a
+ * run: measuredTrace() rebuilds a batch run's §V-B task graph from
+ * them after the fact, with the protocol's dependency edges.  None of
+ * it changes a result.
  *
  * Threading: steps of different chunks may run concurrently as long as
  * the caller follows the data flow — a chunk's tail after its head, a
@@ -62,21 +62,16 @@
 #include <vector>
 
 #include "core/state_model.h"
+#include "obs/span.h"
+#include "trace/measured_trace.h"
 #include "trace/task.h"
 #include "util/rng.h"
-
-namespace repro::trace {
-class MeasuredTraceRecorder;
-} // namespace repro::trace
 
 namespace repro::util {
 class ThreadPool;
 } // namespace repro::util
 
 namespace repro::core {
-
-/** Recorder task id meaning "not recorded". */
-inline constexpr trace::TaskId kNoTask = static_cast<trace::TaskId>(-1);
 
 /**
  * Runs updates [from, to) of @p model on @p state, drawing from and
@@ -112,25 +107,18 @@ struct ChunkRun
     /** Step durations, kept to attribute an abort's wasted work. */
     double altSeconds = 0.0;
     double bodySeconds = 0.0;
-
-    /** Measured-trace tasks of the speculative run. */
-    trace::TaskId specCopyTask = kNoTask;
-    trace::TaskId headTask = kNoTask;
-    trace::TaskId snapshotTask = kNoTask;
-    trace::TaskId tailTask = kNoTask;
 };
 
 /** The R-1 original-state replicas of one boundary. */
 struct Replicas
 {
     explicit Replicas(std::size_t count = 0)
-        : states(count), seconds(count, 0.0), tasks(count, kNoTask)
+        : states(count), seconds(count, 0.0)
     {
     }
 
     std::vector<StateHandle> states;
-    std::vector<double> seconds;       //!< Regeneration time of each.
-    std::vector<trace::TaskId> tasks;  //!< Their OriginalStateGen tasks.
+    std::vector<double> seconds; //!< Regeneration time of each.
 };
 
 /**
@@ -150,14 +138,6 @@ class StatsProtocol
     StatsProtocol(const IStateModel &model, std::uint64_t seed,
                   util::ThreadPool *pool = nullptr,
                   unsigned max_concurrency = 0);
-
-    /**
-     * Sends every later step to @p recorder as a measured task (no-op
-     * when null) and records the run's Setup task.  @p chunks and
-     * @p replicas (R-1) lay out the recorder's logical threads.
-     */
-    void record(trace::MeasuredTraceRecorder *recorder, unsigned chunks,
-                unsigned replicas);
 
     /** Session id and parent span the following steps' spans carry
      *  (zeroes: batch, recorded as roots). */
@@ -227,31 +207,16 @@ class StatsProtocol
         unsigned chunk = 0;
         std::size_t snap = 0, end = 0; //!< Replica replay range.
         bool speculative = true;
-        trace::TaskId finalTask = kNoTask;
-        trace::TaskId snapshotTask = kNoTask;
     };
 
     void grow(unsigned boundary, unsigned rep, const State &source,
-              trace::TaskId source_task, std::size_t from, std::size_t to,
-              Replicas &out) const;
+              std::size_t from, std::size_t to, Replicas &out) const;
     void adopt(ChunkRun &chunk);
     void reexecute(ChunkRun &chunk);
     void reportAbort(const ChunkRun &next, const Replicas &replicas,
                      bool matched_first, std::uint64_t abort_span,
                      double validate_seconds) const;
     StateHandle clone(const State &source) const;
-
-    trace::TaskId begin(trace::TaskKind kind, trace::ThreadId thread,
-                        std::int32_t chunk) const;
-    void end(trace::TaskId id) const;
-    void dep(trace::TaskId before, trace::TaskId after) const;
-    void retag(trace::TaskId id, trace::TaskKind kind) const;
-    trace::ThreadId chunkThread(unsigned chunk) const { return 1 + chunk; }
-    trace::ThreadId
-    replicaThread(unsigned boundary, unsigned rep) const
-    {
-        return 1 + chunks_ + boundary * replicaLanes_ + rep;
-    }
 
     const IStateModel &model_;
     const util::Rng base_;
@@ -262,15 +227,46 @@ class StatsProtocol
     std::uint64_t session_ = 0;
     std::uint64_t parent_ = 0;
 
-    trace::MeasuredTraceRecorder *rec_ = nullptr;
-    unsigned chunks_ = 0;
-    unsigned replicaLanes_ = 0;
-    trace::TaskId setupTask_ = kNoTask;
-
     Committed committed_;
     unsigned commits_ = 0;
     unsigned aborts_ = 0;
 };
+
+/**
+ * Rebuilds the measured §V-B task graph of one batch run
+ * (NativeRuntime::run with C > 1) from the spans its steps emitted.
+ *
+ * The window is every span of @p spans with session 0 and an id above
+ * @p after_span_id (take obs::SpanRecorder::nextId() before the run,
+ * pass snapshot().spans after it), in id order.  Ids are allocated
+ * when a step starts, so every step has a higher id than the steps it
+ * waited for.  Each step span becomes one task whose work is its
+ * duration in microseconds, timed from the window's earliest start,
+ * on the lane given by its recorder thread.  Clones are part of the
+ * step that made them; commit and abort spans are markers:
+ *
+ *  - alt_producer of chunk c: AltProducer on logical thread 1+c;
+ *  - chunk_body of chunk c (head, then tail): ChunkBody on thread
+ *    1+c, MispecReExec when chunk c aborted;
+ *  - replica_regen of boundary b, replica r: OriginalStateGen on a
+ *    lane of its own, after chunk b's head.  When chunk b aborted the
+ *    pair has two spans: the eager one is MispecReExec and the
+ *    regrown one also waits for chunk b's reexec;
+ *  - validation of chunk c: StateCompare on thread 0, after chunk
+ *    c-1's committed final state (its tail, or its reexec), chunk c's
+ *    alt_producer, and boundary c-1's live replicas;
+ *  - reexec of chunk c: MispecReExec on thread 0.
+ *
+ * The edges mirror the schedule NativeRuntime::run executes, not just
+ * the data flow, so a what-if replay keeps the runtime's constraints;
+ * there is no global join.
+ *
+ * Dies (util::fatal) unless the window holds exactly one complete
+ * run: tracing off, a single-chunk run, and a ring that wrapped inside
+ * the window all leave steps missing.
+ */
+trace::MeasuredTrace measuredTrace(const std::vector<obs::Span> &spans,
+                                   std::uint64_t after_span_id);
 
 } // namespace repro::core
 

@@ -3,13 +3,14 @@
  * Always-on runtime metrics: sharded counters, gauges, and streaming
  * latency histograms behind one process-wide registry.
  *
- * The measured-trace layer (trace/measured_trace.h) answers "where did
- * the speedup go" post-mortem, but it is heavyweight and opt-in: it
- * allocates a task per protocol step and must be requested per run.
- * This subsystem is the complement — counters cheap enough to leave
- * enabled in *every* run, production style, so anomalies (abort storms,
- * queue backlog, state-copy blowup) are attributable after the fact
- * from the numbers the run already exported.
+ * The measured trace (trace/measured_trace.h, rebuilt from a batch
+ * run's spans) answers "where did the speedup go" for one run,
+ * post-mortem.  This subsystem is the complement — counters cheap
+ * enough to leave enabled in *every* run, production style, so
+ * anomalies (abort storms, queue backlog, state-copy blowup) are
+ * attributable after the fact from the numbers the run already
+ * exported.  A protocol step's histogram sample and its span come
+ * from the same two timestamps (core/stats_protocol.h).
  *
  * Design:
  *  - Counter/Gauge are per-thread *sharded*: each thread increments its

@@ -1,7 +1,9 @@
 #include "obs/flight_recorder.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "metrics/export.h"
 #include "util/json.h"
@@ -99,6 +101,15 @@ FlightRecorder::dump(const std::string &reason)
          << "/flight-" << dumps_ << ".json";
     info.path = name.str();
 
+    std::error_code ec;
+    if (!opts_.dir.empty())
+        std::filesystem::create_directories(opts_.dir, ec);
+    if (ec) {
+        REPRO_LOG_WARN("flight recorder cannot create " << opts_.dir
+                                                        << ": "
+                                                        << ec.message());
+        return std::nullopt;
+    }
     std::ofstream os(info.path);
     if (!os) {
         REPRO_LOG_WARN("flight recorder cannot write " << info.path);

@@ -50,8 +50,9 @@ class FlightRecorder
   public:
     struct Options
     {
-        /** Directory dumps are written into (flight-<seq>.json).
-         *  Must exist; empty writes into the working directory. */
+        /** Directory dumps are written into (flight-<seq>.json),
+         *  created on the first dump; empty writes into the working
+         *  directory. */
         std::string dir;
 
         /** Windowed-p99 SLO on @ref latencyHistogram; 0 disables the

@@ -98,7 +98,9 @@ class SpanRecorder
      *  nextId(). */
     void record(const Span &span);
 
-    /** Allocates a span id without opening a span (0 when disabled). */
+    /** Allocates a span id without opening a span (0 when disabled).
+     *  Every span started afterwards has a higher id, so the id also
+     *  marks the start of a window (core::measuredTrace). */
     std::uint64_t nextId();
 
     /** Copies every ring's surviving spans (oldest first) plus drop

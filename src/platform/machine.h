@@ -75,11 +75,12 @@ struct MachineModel
     static MachineModel haswell(unsigned cores);
 
     /**
-     * The cost model for *measured* task graphs (work units are
-     * microseconds, see trace/measured_trace.h): 1 cycle = 1 us, no
-     * modeled synchronization, copy, or context-switch surcharges —
-     * measured durations already contain every real cost.  Used by
-     * the what-if ladder over native runs
+     * The cost model for *measured* task graphs (work units are the
+     * microseconds a protocol step's span lasted, see
+     * core::measuredTrace): 1 cycle = 1 us, no modeled
+     * synchronization, copy, or context-switch surcharges — measured
+     * durations already contain every real cost, clones included.
+     * Used by the what-if ladder over native runs
      * (analysis::analyzeMeasuredGraph).
      */
     static MachineModel measured(unsigned cores);

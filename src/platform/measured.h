@@ -3,7 +3,8 @@
  * Adapts a measured (wall-clock) trace to the platform Schedule view.
  *
  * A MeasuredTrace already *is* a schedule — every task carries its
- * real start/finish timestamps and the OS thread (lane) it ran on.
+ * real start/finish timestamps and the OS thread (lane) it ran on, as
+ * the step's span recorded them (core::measuredTrace).
  * measuredSchedule() re-expresses it as a platform::Schedule so the
  * entire post-mortem stack built for simulated runs applies verbatim
  * to native executions: analysis::criticalPathReport walks the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 
 #include "metrics/metrics.h"
@@ -137,7 +138,7 @@ ThreadPool::ThreadPool(unsigned workers)
     const unsigned count = defaultThreadCount(workers);
     workers_.reserve(count);
     for (unsigned i = 0; i < count; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -176,27 +177,11 @@ ThreadPool::enqueue(std::function<void()> task)
     return true;
 }
 
-std::shared_ptr<ThreadPool::Profiler>
-ThreadPool::setProfiler(std::shared_ptr<Profiler> profiler)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::swap(profiler_, profiler);
-    return profiler;
-}
-
-std::shared_ptr<ThreadPool::Profiler>
-ThreadPool::profiler() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return profiler_;
-}
-
 void
-ThreadPool::workerLoop(unsigned worker)
+ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> task;
-        std::shared_ptr<Profiler> prof;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             available_.wait(lock,
@@ -205,18 +190,10 @@ ThreadPool::workerLoop(unsigned worker)
                 return; // stopping_ and drained
             task = std::move(queue_.front());
             queue_.pop_front();
-            prof = profiler_;
         }
         poolMetrics().queueDepth.sub(1);
         poolMetrics().executed.inc();
-        if (prof) {
-            const Clock::time_point start = Clock::now();
-            prof->onTaskBegin(worker, start);
-            task();
-            prof->onTaskEnd(worker, start, Clock::now());
-        } else {
-            task();
-        }
+        task();
     }
 }
 
@@ -257,6 +234,7 @@ ThreadPool::parallelFor(std::size_t n,
 
     // Anything from here to the predicate passing is join wait: the
     // caller has no iterations left and is blocked on helpers.
+    using Clock = std::chrono::steady_clock;
     const bool time_join = metrics::enabled();
     const Clock::time_point join_start =
         time_join ? Clock::now() : Clock::time_point{};

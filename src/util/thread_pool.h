@@ -18,18 +18,17 @@
  *    still completes — it never deadlocks waiting for a free worker,
  *    it just degrades toward caller-only execution.
  *
- * Observability: an optional Profiler receives begin/end callbacks
- * (worker id + steady-clock timestamps) around every task a worker
- * dequeues.  The measured-trace layer (trace/measured_trace.h) uses
- * this to account real pool occupancy during native STATS runs; when
- * no profiler is installed the cost is one pointer copy under the
- * queue lock the worker already holds.
+ * Observability: the pool.* metric family (metrics/metrics.h) counts
+ * what the pool did — pool.tasks_executed ticks once per task a worker
+ * dequeues (one submit() or detach() task, or one helper batch of a
+ * parallelFor; iterations the caller drains are not pool tasks).
+ * Where the time went is the business of the spans the tasks
+ * themselves emit (obs/span_recorder.h).
  */
 
 #ifndef REPRO_UTIL_THREAD_POOL_H
 #define REPRO_UTIL_THREAD_POOL_H
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -49,31 +48,6 @@ namespace repro::util {
 class ThreadPool
 {
   public:
-    /** Clock used for profiling timestamps. */
-    using Clock = std::chrono::steady_clock;
-
-    /**
-     * Observer of worker-side task execution.  Callbacks run on the
-     * executing worker thread, around every task dequeued from the
-     * queue (one submit() task, or one helper batch of a
-     * parallelFor; iterations the *caller* drains are not pool tasks
-     * and are not reported).  Implementations must be thread-safe
-     * and cheap — they sit on the worker hot path.
-     */
-    class Profiler
-    {
-      public:
-        virtual ~Profiler() = default;
-
-        /** About to run a task on worker @p worker (0-based). */
-        virtual void onTaskBegin(unsigned worker,
-                                 Clock::time_point start) = 0;
-
-        /** Finished the task started at @p start on @p worker. */
-        virtual void onTaskEnd(unsigned worker, Clock::time_point start,
-                               Clock::time_point end) = 0;
-    };
-
     /**
      * @param workers Worker thread count; 0 selects
      *        defaultThreadCount(0) (hardware concurrency, with a
@@ -167,18 +141,6 @@ class ThreadPool
                      unsigned max_concurrency = 0, std::size_t grain = 0);
 
     /**
-     * Installs @p profiler (nullptr uninstalls).  The pool keeps a
-     * reference, so a worker that dequeued a task just before an
-     * uninstall can still safely finish reporting it; callers should
-     * not assume callbacks stop instantly.  Returns the previously
-     * installed profiler.
-     */
-    std::shared_ptr<Profiler> setProfiler(std::shared_ptr<Profiler> profiler);
-
-    /** The currently installed profiler (may be null). */
-    std::shared_ptr<Profiler> profiler() const;
-
-    /**
      * The process-wide pool shared by the autotuner and the native
      * runtime, sized defaultThreadCount(0).  Created on first use.
      */
@@ -195,13 +157,12 @@ class ThreadPool
   private:
     /** False when the pool is stopping and the task was not queued. */
     bool enqueue(std::function<void()> task);
-    void workerLoop(unsigned worker);
+    void workerLoop();
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable available_;
     std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;
-    std::shared_ptr<Profiler> profiler_; //!< Guarded by mutex_.
     bool stopping_ = false;
 };
 

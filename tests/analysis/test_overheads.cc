@@ -11,8 +11,9 @@
 
 #include "analysis/overheads.h"
 #include "core/native_runtime.h"
+#include "core/stats_protocol.h"
+#include "obs/span_recorder.h"
 #include "platform/machine.h"
-#include "trace/measured_trace.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -171,11 +172,11 @@ TEST(ExtraComputation, CopyingNotOnCriticalPath)
 
 TEST(MeasuredOverheads, LadderPartitionsIdealOnMeasuredGraph)
 {
-    // Run the measured ladder on real recorded native executions: the
+    // Run the measured ladder on real traced native executions: the
     // per-category losses plus the achieved fraction must partition
     // [0, 1] like the simulated ladder.  Wall-clock on a shared host
     // is noisy — a preempted run inflates its duration severalfold —
-    // so both the sequential denominator and the recording are
+    // so both the sequential denominator and the traced run are
     // best-of-repeats, and the exactness check only applies when the
     // measurement is physically sensible (actual <= ideal; a
     // "measured" speedup above ideal can only be a mis-timed
@@ -192,9 +193,11 @@ TEST(MeasuredOverheads, LadderPartitionsIdealOnMeasuredGraph)
     repro::trace::MeasuredTrace mt;
     repro::core::NativeRuntime::Result run;
     for (int r = 0; r < 3; ++r) {
-        repro::trace::MeasuredTraceRecorder rec;
-        run = native.run(w->model(), config, 42, &rec);
-        repro::trace::MeasuredTrace cand = rec.finish();
+        auto &spans = repro::obs::SpanRecorder::global();
+        const std::uint64_t mark = spans.nextId();
+        run = native.run(w->model(), config, 42);
+        repro::trace::MeasuredTrace cand =
+            repro::core::measuredTrace(spans.snapshot().spans, mark);
         if (r == 0 || cand.makespanUs() < mt.makespanUs())
             mt = std::move(cand);
     }

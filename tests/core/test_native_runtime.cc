@@ -12,7 +12,8 @@
 #include "core/engine.h"
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
-#include "trace/measured_trace.h"
+#include "core/stats_protocol.h"
+#include "obs/span_recorder.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -21,9 +22,9 @@ using repro::core::Engine;
 using repro::core::NativeRuntime;
 using repro::core::StatsConfig;
 using repro::core::TlpModel;
+using repro::obs::SpanRecorder;
 using repro::testing::EmaModel;
 using repro::trace::MeasuredTrace;
-using repro::trace::MeasuredTraceRecorder;
 using repro::trace::TaskKind;
 
 StatsConfig
@@ -180,9 +181,9 @@ TEST(NativeRuntime, AbortRewritesSpansAtCorrectGlobalIndices)
 
 TEST(NativeRuntime, RecordingPreservesResults)
 {
-    // The recorder is strictly observational: outputs, commits, and
-    // aborts must be bit-identical with and without it (acceptance
-    // criterion of the measured-trace layer), on both a committing and
+    // Span recording, which also carries the measured graph, is
+    // strictly observational: outputs, commits, and aborts must be
+    // bit-identical with tracing on and off, on both a committing and
     // an aborting run.
     EmaModel::Config mc;
     mc.inputs = 128;
@@ -194,29 +195,37 @@ TEST(NativeRuntime, RecordingPreservesResults)
         const auto config = aborting ? cfg(4, 2, 2) : cfg(8, 8, 3);
         const std::uint64_t seed = aborting ? 5 : 17;
 
+        repro::obs::setEnabled(false);
         const auto plain = native.run(model, config, seed);
-        MeasuredTraceRecorder rec;
-        const auto recorded = native.run(model, config, seed, &rec);
-        EXPECT_EQ(recorded.commits, plain.commits);
-        EXPECT_EQ(recorded.aborts, plain.aborts);
-        ASSERT_EQ(recorded.outputs.size(), plain.outputs.size());
+        repro::obs::setEnabled(true);
+        const std::uint64_t mark = SpanRecorder::global().nextId();
+        const auto traced = native.run(model, config, seed);
+        EXPECT_EQ(traced.commits, plain.commits);
+        EXPECT_EQ(traced.aborts, plain.aborts);
+        EXPECT_EQ(plain.aborts, aborting ? 3u : 0u);
+        ASSERT_EQ(traced.outputs.size(), plain.outputs.size());
         for (std::size_t i = 0; i < plain.outputs.size(); ++i)
-            ASSERT_DOUBLE_EQ(recorded.outputs[i], plain.outputs[i]);
-        EXPECT_GT(rec.size(), 0u);
-
-        // Sequential recording, same guarantee.
-        const auto seq_plain = native.runSequential(model, seed);
-        MeasuredTraceRecorder seq_rec;
-        const auto seq_recorded =
-            native.runSequential(model, seed, &seq_rec);
-        for (std::size_t i = 0; i < seq_plain.outputs.size(); ++i) {
-            ASSERT_DOUBLE_EQ(seq_recorded.outputs[i],
-                             seq_plain.outputs[i]);
-        }
-        const MeasuredTrace seq_mt = seq_rec.finish();
-        ASSERT_EQ(seq_mt.graph.size(), 1u);
-        EXPECT_EQ(seq_mt.graph.task(0).kind, TaskKind::ChunkBody);
+            ASSERT_EQ(traced.outputs[i], plain.outputs[i]);
+        EXPECT_GT(
+            repro::core::measuredTrace(
+                SpanRecorder::global().snapshot().spans, mark)
+                .graph.size(),
+            0u);
     }
+}
+
+/** The measured graph of one traced run of @p config. */
+MeasuredTrace
+tracedRun(const NativeRuntime &native, const EmaModel &model,
+          const StatsConfig &config, std::uint64_t seed,
+          NativeRuntime::Result &result)
+{
+    const std::uint64_t mark = SpanRecorder::global().nextId();
+    result = native.run(model, config, seed);
+    const MeasuredTrace mt = repro::core::measuredTrace(
+        SpanRecorder::global().snapshot().spans, mark);
+    EXPECT_TRUE(mt.graph.isAcyclic());
+    return mt;
 }
 
 std::array<std::size_t, repro::trace::kNumTaskKinds>
@@ -230,12 +239,13 @@ kindCounts(const MeasuredTrace &mt)
 
 TEST(NativeRuntime, RecordedKindsMatchProtocolWhenAllCommit)
 {
-    // All-commit run, C=8, K=8, R=3: the measured graph must contain
-    // exactly the protocol's task population with true kinds — the
-    // runSpan mislabeling bug tagged alt-producer and replica spans
-    // ChunkBody, which this distribution catches.  On an all-commit
-    // run every eager replica is the replica the committed snapshot
-    // would give, so none is discarded.
+    // All-commit run, C=8, K=8, R=3: the span-derived graph must
+    // contain exactly the protocol's task population, one task per
+    // step, with true kinds — the runSpan mislabeling bug tagged
+    // alt-producer and replica steps ChunkBody, which this
+    // distribution catches.  On an all-commit run every eager replica
+    // is the replica the committed snapshot would give, so none is
+    // discarded.
     EmaModel::Config mc;
     mc.inputs = 128;
     mc.alpha = 0.5;
@@ -243,45 +253,37 @@ TEST(NativeRuntime, RecordedKindsMatchProtocolWhenAllCommit)
     const EmaModel model(mc);
     const unsigned C = 8, R = 3;
     const NativeRuntime native(4);
-    const auto result = native.run(model, cfg(C, 8, R), 17);
-    MeasuredTraceRecorder rec;
-    const auto recorded = native.run(model, cfg(C, 8, R), 17, &rec);
-    ASSERT_EQ(recorded.aborts, 0u);
-    ASSERT_EQ(recorded.commits, C - 1);
+    NativeRuntime::Result result;
+    const MeasuredTrace mt = tracedRun(native, model, cfg(C, 8, R), 17,
+                                       result);
     ASSERT_EQ(result.aborts, 0u);
+    ASSERT_EQ(result.commits, C - 1);
 
-    const MeasuredTrace mt = rec.finish();
     const auto counts = kindCounts(mt);
     const auto count = [&](TaskKind k) {
         return counts[static_cast<std::size_t>(k)];
     };
-    EXPECT_EQ(count(TaskKind::Setup), 1u);
     // Bodies: every chunk, the last included, splits around its
     // snapshot.
     EXPECT_EQ(count(TaskKind::ChunkBody), 2u * C);
     EXPECT_EQ(count(TaskKind::AltProducer), C - 1);
     // Replicas: (R-1) per boundary.
     EXPECT_EQ(count(TaskKind::OriginalStateGen), (C - 1) * (R - 1));
-    // All-commit: every boundary matches on the first comparison.
+    // One check per boundary, however many candidates it compared.
     EXPECT_EQ(count(TaskKind::StateCompare), C - 1);
     EXPECT_EQ(count(TaskKind::MispecReExec), 0u);
-    // No global join.
+    // No global join, and clones belong to the step that made them.
     EXPECT_EQ(count(TaskKind::Sync), 0u);
-    // Copies: spec-state clone per alt chunk, snapshot clone per
-    // chunk, replica clone per regenerated original.
-    EXPECT_EQ(count(TaskKind::StateCopy),
-              (C - 1) + C + (C - 1) * (R - 1));
-    // Every measured task carries a real (non-negative) duration.
-    for (const auto &t : mt.graph.tasks())
-        EXPECT_GE(t.work, 0.0);
+    EXPECT_EQ(count(TaskKind::StateCopy), 0u);
+    EXPECT_EQ(count(TaskKind::Setup), 0u);
+    EXPECT_EQ(mt.graph.size(), 2u * C + (C - 1) * (R + 1));
 }
 
 TEST(NativeRuntime, RecordedKindsMarkAbortsAsMispec)
 {
     // All-abort run without replicas (R=1): speculative bodies of
-    // aborted chunks are retagged MispecReExec (like the engine does)
-    // and the re-execution spans are recorded as MispecReExec, never
-    // ChunkBody.
+    // aborted chunks are MispecReExec (like the engine retags them)
+    // and so is each re-execution, never ChunkBody.
     EmaModel::Config mc;
     mc.inputs = 128;
     mc.alpha = 0.01;
@@ -289,19 +291,19 @@ TEST(NativeRuntime, RecordedKindsMarkAbortsAsMispec)
     const EmaModel model(mc);
     const NativeRuntime native(3);
     const unsigned C = 4;
-    MeasuredTraceRecorder rec;
-    const auto recorded = native.run(model, cfg(C, 2, 1), 5, &rec);
-    ASSERT_EQ(recorded.aborts, C - 1);
+    NativeRuntime::Result result;
+    const MeasuredTrace mt = tracedRun(native, model, cfg(C, 2, 1), 5,
+                                       result);
+    ASSERT_EQ(result.aborts, C - 1);
 
-    const MeasuredTrace mt = rec.finish();
     const auto counts = kindCounts(mt);
     const auto count = [&](TaskKind k) {
         return counts[static_cast<std::size_t>(k)];
     };
     // Only chunk 0's body commits; every other chunk's 2 speculative
-    // spans and 2 redo spans are MispecReExec.
+    // body steps and its one re-execution are MispecReExec.
     EXPECT_EQ(count(TaskKind::ChunkBody), 2u);
-    EXPECT_EQ(count(TaskKind::MispecReExec), 4u * (C - 1));
+    EXPECT_EQ(count(TaskKind::MispecReExec), 3u * (C - 1));
     EXPECT_EQ(count(TaskKind::AltProducer), C - 1);
     EXPECT_EQ(count(TaskKind::OriginalStateGen), 0u);
     // One candidate per boundary: the committed final state.
@@ -314,7 +316,7 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     // eagerly from the speculative snapshot.  Chunk 0 is never
     // speculative, so boundary 0's eager replica stays valid;
     // boundaries 1..C-2 follow an abort, so their eager replicas are
-    // wasted work — retagged MispecReExec — and regenerated from the
+    // wasted work — MispecReExec — and regenerated from the
     // re-executed snapshot.
     EmaModel::Config mc;
     mc.inputs = 128;
@@ -323,11 +325,11 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     const EmaModel model(mc);
     const NativeRuntime native(3);
     const unsigned C = 4, R = 2;
-    MeasuredTraceRecorder rec;
-    const auto recorded = native.run(model, cfg(C, 2, R), 5, &rec);
-    ASSERT_EQ(recorded.aborts, C - 1);
+    NativeRuntime::Result result;
+    const MeasuredTrace mt = tracedRun(native, model, cfg(C, 2, R), 5,
+                                       result);
+    ASSERT_EQ(result.aborts, C - 1);
 
-    const MeasuredTrace mt = rec.finish();
     const auto counts = kindCounts(mt);
     const auto count = [&](TaskKind k) {
         return counts[static_cast<std::size_t>(k)];
@@ -336,31 +338,22 @@ TEST(NativeRuntime, RecordedKindsPipelinedAbortRetagsEagerReplicas)
     // boundary (R-1 = 1), eager for boundary 0, regenerated for the
     // rest.
     EXPECT_EQ(count(TaskKind::OriginalStateGen), (C - 1) * (R - 1));
-    // MispecReExec = speculative bodies of aborted chunks + redo spans
-    // (4 per aborted chunk) plus the discarded eager replicas of
-    // boundaries 1..C-2.
+    // MispecReExec = speculative bodies of aborted chunks plus their
+    // re-executions (3 per aborted chunk), plus the discarded eager
+    // replicas of boundaries 1..C-2.
     EXPECT_EQ(count(TaskKind::MispecReExec),
-              4u * (C - 1) + (C - 2) * (R - 1));
-    // Replica clones: one per eager replica plus one per
-    // regeneration.
-    EXPECT_EQ(count(TaskKind::StateCopy),
-              (C - 1) + C /* spec + snapshot clones */
-                  + (C - 1) * (R - 1) /* eager replica clones */
-                  + (C - 2) * (R - 1) /* regen replica clones */
-                  + (C - 1) /* redo snapshot clones */
-                  + (C - 1) /* redo start clones */);
+              3u * (C - 1) + (C - 2) * (R - 1));
     EXPECT_EQ(count(TaskKind::ChunkBody), 2u);
-    EXPECT_EQ(count(TaskKind::StateCompare),
-              recorded.commits + 2u * recorded.aborts);
+    EXPECT_EQ(count(TaskKind::StateCompare), C - 1);
+    EXPECT_EQ(count(TaskKind::StateCopy), 0u);
     EXPECT_EQ(count(TaskKind::Sync), 0u);
 }
 
 TEST(NativeRuntime, MatchesEngineAcrossAbortHeavySweep)
 {
-    // For every (K, R) point of an abort-heavy sweep, the runtime —
-    // with and without a recorder attached — produces outputs,
-    // commits, and aborts bit-identical to the Engine::runStats
-    // oracle.  The EMA model's tight tolerance forces mispeculation on
+    // For every (K, R) point of an abort-heavy sweep, the runtime
+    // produces outputs, commits, and aborts bit-identical to the
+    // Engine::runStats oracle.  The EMA model's tight tolerance forces mispeculation on
     // most boundaries, so the abort path (discard eager replicas,
     // re-execute off the main thread, regenerate from the redo
     // snapshot) is exercised throughout the sweep, not just on one
@@ -379,21 +372,15 @@ TEST(NativeRuntime, MatchesEngineAcrossAbortHeavySweep)
             const auto logical =
                 engine.runStats(model, {}, TlpModel{}, config, 29);
             total_aborts += logical.aborts;
-            MeasuredTraceRecorder rec;
-            const auto plain = native.run(model, config, 29);
-            const auto recorded = native.run(model, config, 29, &rec);
-            for (const auto *run : {&plain, &recorded}) {
-                const char *what = run == &plain ? "plain" : "recorded";
-                EXPECT_EQ(run->commits, logical.commits)
-                    << what << " K=" << k << " R=" << r;
-                EXPECT_EQ(run->aborts, logical.aborts)
-                    << what << " K=" << k << " R=" << r;
-                ASSERT_EQ(run->outputs.size(), logical.outputs.size());
-                for (std::size_t i = 0; i < run->outputs.size(); ++i) {
-                    ASSERT_EQ(run->outputs[i], logical.outputs[i])
-                        << what << " K=" << k << " R=" << r << " input "
-                        << i;
-                }
+            const auto run = native.run(model, config, 29);
+            EXPECT_EQ(run.commits, logical.commits)
+                << " K=" << k << " R=" << r;
+            EXPECT_EQ(run.aborts, logical.aborts)
+                << " K=" << k << " R=" << r;
+            ASSERT_EQ(run.outputs.size(), logical.outputs.size());
+            for (std::size_t i = 0; i < run.outputs.size(); ++i) {
+                ASSERT_EQ(run.outputs[i], logical.outputs[i])
+                    << " K=" << k << " R=" << r << " input " << i;
             }
         }
     }

@@ -304,4 +304,30 @@ TEST(FlightRecorderTest, LatencySloTriggerUsesWindowQuantile)
     std::filesystem::remove_all(dir);
 }
 
+TEST(FlightRecorderTest, DumpCreatesItsDirectory)
+{
+    const std::string root =
+        ::testing::TempDir() + "obs_flight_mkdir_test";
+    std::filesystem::remove_all(root);
+
+    SpanRecorder rec(16);
+    FlightRecorder::Options opts;
+    opts.dir = root + "/nested/flight";
+    opts.recorder = &rec;
+    FlightRecorder recorder(opts);
+    const auto dump = recorder.dump("manual");
+    ASSERT_TRUE(dump.has_value());
+    EXPECT_EQ(dump->path, opts.dir + "/flight-0.json");
+    EXPECT_EQ(JsonValue::parseFile(dump->path).find("reason")->asString(),
+              "manual");
+
+    // A directory that cannot be made (its parent is a file) still
+    // warns and yields no dump.
+    FlightRecorder::Options blocked = opts;
+    blocked.dir = dump->path + "/flight";
+    EXPECT_FALSE(FlightRecorder(blocked).dump("manual").has_value());
+
+    std::filesystem::remove_all(root);
+}
+
 } // namespace

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "metrics/metrics.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -227,31 +228,17 @@ TEST(ThreadPool, StopIsIdempotentAndDegradesGracefully)
     EXPECT_EQ(hits.load(), 100);
 }
 
-TEST(ThreadPool, ProfilerObservesWorkerTasks)
+TEST(ThreadPool, TasksExecutedCountsWorkerTasks)
 {
-    struct CountingProfiler : ThreadPool::Profiler
-    {
-        std::atomic<int> begins{0};
-        std::atomic<int> ends{0};
-        std::atomic<bool> ordered{true};
-        void
-        onTaskBegin(unsigned, ThreadPool::Clock::time_point) override
-        {
-            ++begins;
-        }
-        void
-        onTaskEnd(unsigned, ThreadPool::Clock::time_point start,
-                  ThreadPool::Clock::time_point end) override
-        {
-            if (end < start)
-                ordered = false;
-            ++ends;
-        }
-    };
-
-    ThreadPool pool(1); // One worker: every submitted task is observed.
-    auto prof = std::make_shared<CountingProfiler>();
-    EXPECT_EQ(pool.setProfiler(prof), nullptr);
+    // pool.tasks_executed ticks once per task a worker dequeues: every
+    // submit() and every parallelFor helper batch, never the
+    // iterations the caller drains itself nor tasks a stopped pool runs
+    // inline.
+    const repro::metrics::Counter &executed =
+        repro::metrics::MetricsRegistry::global().counter(
+            "pool.tasks_executed");
+    ThreadPool pool(2);
+    const std::uint64_t before = executed.value();
 
     constexpr int kTasks = 8;
     std::vector<std::future<void>> futures;
@@ -259,14 +246,17 @@ TEST(ThreadPool, ProfilerObservesWorkerTasks)
         futures.push_back(pool.submit([] {}));
     for (auto &f : futures)
         f.get();
+    // Caller plus both workers: two helper batches are queued.
+    std::atomic<int> hits{0};
+    pool.parallelFor(64, [&](std::size_t) { ++hits; });
+    // A helper may still be queued after the caller drained the loop;
+    // joining the workers dequeues it.
+    pool.stop();
+    EXPECT_EQ(hits.load(), 64);
+    EXPECT_EQ(executed.value() - before, kTasks + 2u);
 
-    // Uninstall and make sure no further callbacks arrive.
-    EXPECT_EQ(pool.setProfiler(nullptr), prof);
-    pool.submit([] {}).get();
-
-    EXPECT_EQ(prof->begins.load(), kTasks);
-    EXPECT_EQ(prof->ends.load(), kTasks);
-    EXPECT_TRUE(prof->ordered.load());
+    pool.submit([] {}).get(); // Stopped: runs inline, not dequeued.
+    EXPECT_EQ(executed.value() - before, kTasks + 2u);
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
