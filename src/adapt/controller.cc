@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string_view>
 
 #include "metrics/metrics.h"
@@ -18,8 +17,7 @@ using serving::SessionTuning;
 struct AdaptMetrics
 {
     metrics::Counter &windows;        //!< Observation windows consumed.
-    metrics::Counter &decisions;      //!< Decisions produced (any mode).
-    metrics::Counter &applied;        //!< ... of which applied.
+    metrics::Counter &decisions;      //!< Decisions produced (all apply).
     metrics::Counter &stepUp;         //!< Applied knob growths.
     metrics::Counter &stepDown;       //!< Applied knob shrinks.
     metrics::Counter &dwellViolations; //!< Applied inside a dwell (== 0).
@@ -35,7 +33,6 @@ adaptMetrics()
     static AdaptMetrics m{
         reg.counter("adapt.windows"),
         reg.counter("adapt.decisions"),
-        reg.counter("adapt.decisions_applied"),
         reg.counter("adapt.step_up"),
         reg.counter("adapt.step_down"),
         reg.counter("adapt.dwell_violations"),
@@ -61,28 +58,18 @@ overheadInputs(const SessionTuning &t)
            kFixedInputs;
 }
 
+/** Smoothing of the calibrated model terms. */
+constexpr double kEwmaAlpha = 0.4;
+
 void
-ewma(double &acc, double sample, double alpha, bool &seeded)
+ewma(double &acc, double sample, bool &seeded)
 {
-    acc = seeded ? (1.0 - alpha) * acc + alpha * sample : sample;
+    acc = seeded ? (1.0 - kEwmaAlpha) * acc + kEwmaAlpha * sample
+                 : sample;
     seeded = true;
 }
 
-void
-appendTuningJson(std::ostringstream &os, const SessionTuning &t)
-{
-    os << "{\"chunk_inputs\": " << t.chunkInputs
-       << ", \"alt_window_k\": " << t.altWindowK
-       << ", \"num_original_states\": " << t.numOriginalStates << "}";
-}
-
 } // namespace
-
-const char *
-controllerModeName(ControllerMode mode)
-{
-    return mode == ControllerMode::Frozen ? "frozen" : "active";
-}
 
 FeedbackController::FeedbackController(ControllerConfig config)
     : cfg_(std::move(config)), current_(clampKnobs(cfg_.initial))
@@ -171,12 +158,6 @@ FeedbackController::costPerInput(const SessionTuning &tuning, double b,
     return cost;
 }
 
-double
-FeedbackController::predictPerInput(const SessionTuning &tuning) const
-{
-    return costPerInput(tuning, perInput_, /*saturated=*/true);
-}
-
 std::optional<Decision>
 FeedbackController::observe(const WindowObservation &obs)
 {
@@ -190,7 +171,7 @@ FeedbackController::observe(const WindowObservation &obs)
                                obs.seconds /
                                static_cast<double>(obs.sessions);
         bool seeded = arrivalPerSession_ > 0.0;
-        ewma(arrivalPerSession_, arrival, cfg_.ewmaAlpha, seeded);
+        ewma(arrivalPerSession_, arrival, seeded);
     }
     const bool haveWork = obs.chunksProcessed > 0 &&
                           obs.inputsProcessed > 0 &&
@@ -206,14 +187,13 @@ FeedbackController::observe(const WindowObservation &obs)
             perChunkSeconds / (L + overheadInputs(current_));
         perInputWindow_.add(bSample);
         bool seeded = calibrated_;
-        ewma(perInput_, bSample, cfg_.ewmaAlpha, seeded);
+        ewma(perInput_, bSample, seeded);
         calibrated_ = true;
 
         const double abortSample =
             static_cast<double>(obs.aborts) / chunks;
         bool abortSeeded = true;
-        ewma(abortFrac_, std::min(abortSample, 1.0), cfg_.ewmaAlpha,
-             abortSeeded);
+        ewma(abortFrac_, std::min(abortSample, 1.0), abortSeeded);
 
         const std::uint64_t nonFirst = obs.matchReplica + obs.matchNone;
         if (nonFirst > 0) {
@@ -221,7 +201,7 @@ FeedbackController::observe(const WindowObservation &obs)
             ewma(replicaShare_,
                  static_cast<double>(obs.matchReplica) /
                      static_cast<double>(nonFirst),
-                 cfg_.ewmaAlpha, shareSeeded);
+                 shareSeeded);
         }
         quietWindows_ = obs.aborts == 0 ? quietWindows_ + 1 : 0;
     }
@@ -322,65 +302,31 @@ FeedbackController::observe(const WindowObservation &obs)
     d.knob = best->knob;
     d.direction = best->direction;
     d.predictedGain = gain;
-    d.applied = cfg_.mode == ControllerMode::Active;
-    d.reason = saturated ? "saturated-throughput" : "latency-shaped";
     m.decisions.inc();
-    if (d.applied) {
-        if (dwellRemaining_ != 0) {
-            // Unreachable by construction (the dwell gate returned
-            // above); counted, exported, and CI-gated as an invariant.
-            ++dwellViolations_;
-            m.dwellViolations.inc();
-        }
-        current_ = d.to;
-        m.applied.inc();
-        (d.direction > 0 ? m.stepUp : m.stepDown).inc();
-        const auto chunk = static_cast<std::int64_t>(current_.chunkInputs);
-        const auto k = static_cast<std::int64_t>(current_.altWindowK);
-        const auto r =
-            static_cast<std::int64_t>(current_.numOriginalStates);
-        m.chunkInputs.add(chunk - gaugeChunk_);
-        m.altWindowK.add(k - gaugeK_);
-        m.numOriginalStates.add(r - gaugeR_);
-        gaugeChunk_ = chunk;
-        gaugeK_ = k;
-        gaugeR_ = r;
+    if (dwellRemaining_ != 0) {
+        // Unreachable by construction (the dwell gate returned above);
+        // counted, exported, and test-gated as an invariant.
+        ++dwellViolations_;
+        m.dwellViolations.inc();
     }
-    // A shrink of K resets the quiet streak either way: the evidence
-    // that justified it was spent.
+    current_ = d.to;
+    (d.direction > 0 ? m.stepUp : m.stepDown).inc();
+    const auto chunk = static_cast<std::int64_t>(current_.chunkInputs);
+    const auto k = static_cast<std::int64_t>(current_.altWindowK);
+    const auto r = static_cast<std::int64_t>(current_.numOriginalStates);
+    m.chunkInputs.add(chunk - gaugeChunk_);
+    m.altWindowK.add(k - gaugeK_);
+    m.numOriginalStates.add(r - gaugeR_);
+    gaugeChunk_ = chunk;
+    gaugeK_ = k;
+    gaugeR_ = r;
+    // A shrink of K resets the quiet streak: the evidence that
+    // justified it was spent.
     if (best->direction < 0 && std::string_view(best->knob) == "lookahead")
         quietWindows_ = 0;
     dwellRemaining_ = cfg_.dwellWindows;
     decisions_.push_back(d);
     return d;
-}
-
-std::string
-decisionsToJson(const std::vector<Decision> &decisions,
-                const std::string &indent)
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-        const Decision &d = decisions[i];
-        os << (i ? "," : "") << "\n" << indent << "  {";
-        os << "\"window\": " << d.window;
-        os << ", \"at_chunk\": " << d.atChunk;
-        os << ", \"knob\": \"" << d.knob << "\"";
-        os << ", \"direction\": " << d.direction;
-        os << ", \"predicted_gain\": " << d.predictedGain;
-        os << ", \"applied\": " << (d.applied ? "true" : "false");
-        os << ", \"reason\": \"" << d.reason << "\"";
-        os << ", \"from\": ";
-        appendTuningJson(os, d.from);
-        os << ", \"to\": ";
-        appendTuningJson(os, d.to);
-        os << "}";
-    }
-    if (!decisions.empty())
-        os << "\n" << indent;
-    os << "]";
-    return os.str();
 }
 
 } // namespace repro::adapt

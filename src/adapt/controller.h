@@ -34,17 +34,16 @@
  *    least ControllerConfig::deadband, so noise-level differences
  *    never trigger a step.
  * adapt.dwell_violations counts decisions applied while a dwell was
- * still pending; by construction the count stays zero and CI gates on
- * it as an invariant check.
+ * still pending; by construction the count stays zero, and the
+ * serving-adaptor tests gate on it as an invariant check.
  *
- * Determinism: in ControllerMode::Frozen the controller runs its full
- * observe/score/decide loop and *records* every decision, but never
- * applies one — knobs stay at their initial values, so a frozen
- * adaptive run is bit-identical to the corresponding fixed-config run.
- * In Active mode the decision list doubles as a replay trace:
- * adaptive_runner.h re-applies it at the recorded chunk boundaries to
- * reproduce an adaptive run bit for bit without the metrics that drove
- * it.
+ * Every decision applies.  A caller freezes a knob by pinning it
+ * (minKnobs == maxKnobs for that knob), so no candidate ever moves it.
+ * Determinism: the controller only chooses knobs; the serving runtime
+ * lands each applied decision at a session's next chunk boundary, so a
+ * serving run stays a pure function of (model, seed, closure trace,
+ * knob trace), and a fresh SessionPipeline fed the same closure trace
+ * and reconfigured at the same boundaries reproduces it bit for bit.
  */
 
 #ifndef REPRO_ADAPT_CONTROLLER_H
@@ -52,7 +51,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "serving/serving_runtime.h"
@@ -60,21 +58,9 @@
 
 namespace repro::adapt {
 
-/** Whether decisions are applied or only recorded. */
-enum class ControllerMode : std::uint8_t
-{
-    Active, //!< Decisions change the live knobs.
-    Frozen, //!< Decisions are recorded only; knobs never move.
-};
-
-/** Human-readable mode name ("active" / "frozen"). */
-const char *controllerModeName(ControllerMode mode);
-
 /** Controller parameters (see the file comment for the loop). */
 struct ControllerConfig
 {
-    ControllerMode mode = ControllerMode::Active;
-
     /** Starting knobs (clamped into [minKnobs, maxKnobs]). */
     serving::SessionTuning initial;
 
@@ -97,9 +83,6 @@ struct ControllerConfig
      *  would cut chunks anyway.  0 disables latency shaping
      *  (pure-throughput scoring). */
     double latencyBudgetSeconds = 0.0;
-
-    /** Smoothing of the calibrated model terms. */
-    double ewmaAlpha = 0.4;
 
     /** Observation windows consumed before the first decision may
      *  fire (the model needs calibration samples). */
@@ -133,7 +116,8 @@ struct WindowObservation
     unsigned sessions = 1;          //!< Live sessions sharing traffic.
 };
 
-/** One controller decision (applied or frozen-recorded). */
+/** One controller decision; each session lands it at its own next
+ *  chunk boundary. */
 struct Decision
 {
     std::uint64_t window = 0; //!< Observation window that decided.
@@ -142,18 +126,12 @@ struct Decision
     const char *knob = "none"; //!< "chunk" / "lookahead" / "replicas".
     int direction = 0;         //!< +1 grow, -1 shrink.
     double predictedGain = 0.0; //!< Relative per-input cost reduction.
-    bool applied = false;       //!< False in Frozen mode.
-    std::string reason;         //!< "saturated" / "predicted-cost" ...
-    /** Batch replay anchor: index of the first chunk the new knobs
-     *  govern (filled by adaptive_runner; 0 for serving decisions,
-     *  where each session lands the swap at its own next boundary). */
-    std::size_t atChunk = 0;
+    bool applied = true;        //!< Always true: every decision applies.
 };
 
 /**
  * The feedback loop.  Single-threaded by contract: one owner calls
- * observe() per window (the serving adaptor serializes its ticks, the
- * batch runner is a loop).
+ * observe() per window (the serving adaptor serializes its ticks).
  */
 class FeedbackController
 {
@@ -162,9 +140,7 @@ class FeedbackController
 
     /**
      * Feeds one observation window; returns the decision it produced,
-     * if any.  In Active mode an applied decision moves current(); in
-     * Frozen mode the decision is recorded with applied == false and
-     * current() never changes.
+     * if any.  A decision moves current() to its target knobs.
      */
     std::optional<Decision> observe(const WindowObservation &obs);
 
@@ -179,20 +155,6 @@ class FeedbackController
 
     /** Decisions applied while a dwell was pending (invariant: 0). */
     std::uint64_t dwellViolations() const { return dwellViolations_; }
-
-    /** Calibrated per-input body seconds (0 until first window with
-     *  work). */
-    double perInputSeconds() const { return perInput_; }
-
-    /** Calibrated abort fraction per boundary. */
-    double abortFraction() const { return abortFrac_; }
-
-    /** Calibrated per-session arrival rate (inputs/sec). */
-    double arrivalRate() const { return arrivalPerSession_; }
-
-    /** Predicted per-input seconds under @p tuning with the current
-     *  calibration (exposed for tests and bench reports). */
-    double predictPerInput(const serving::SessionTuning &tuning) const;
 
   private:
     serving::SessionTuning
@@ -226,11 +188,6 @@ class FeedbackController
     std::int64_t gaugeK_ = 0;
     std::int64_t gaugeR_ = 0;
 };
-
-/** JSON array rendering of a decision trace, for BENCH_*.json
- *  embedding.  @p indent prefixes inner lines. */
-std::string decisionsToJson(const std::vector<Decision> &decisions,
-                            const std::string &indent = "");
 
 } // namespace repro::adapt
 

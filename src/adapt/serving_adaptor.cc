@@ -45,8 +45,6 @@ ServingAdaptor::ServingAdaptor(serving::ServingRuntime &runtime,
 {
 }
 
-ServingAdaptor::~ServingAdaptor() { stop(); }
-
 std::chrono::steady_clock::time_point
 ServingAdaptor::now() const
 {
@@ -77,48 +75,10 @@ ServingAdaptor::tick()
         obs::Span span = obs::SpanRecorder::global().start(
             obs::SpanKind::AdaptDecision, 0, 0, -1, -1, 0,
             static_cast<std::int64_t>(decision->window));
-        if (decision->applied)
-            runtime_.retuneAll(decision->to);
+        runtime_.retuneAll(decision->to);
         obs::SpanRecorder::global().finish(span);
     }
     return decision;
-}
-
-void
-ServingAdaptor::start()
-{
-    std::lock_guard<std::mutex> lock(stopMu_);
-    if (thread_.joinable())
-        return;
-    stopping_ = false;
-    thread_ = std::thread([this] { loop(); });
-}
-
-void
-ServingAdaptor::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(stopMu_);
-        if (!thread_.joinable())
-            return;
-        stopping_ = true;
-    }
-    stopCv_.notify_all();
-    thread_.join();
-}
-
-void
-ServingAdaptor::loop()
-{
-    std::unique_lock<std::mutex> lock(stopMu_);
-    while (!stopping_) {
-        if (stopCv_.wait_for(lock, opts_.window,
-                             [this] { return stopping_; }))
-            break;
-        lock.unlock();
-        tick();
-        lock.lock();
-    }
 }
 
 } // namespace repro::adapt

@@ -1,37 +1,31 @@
 /**
  * @file
  * The glue between the feedback controller and the live serving
- * runtime: periodically snapshot the metrics registry, hand the
- * windowed delta to the controller, broadcast applied decisions to
- * every session.
+ * runtime: snapshot the metrics registry once per window, hand the
+ * windowed delta to the controller, broadcast each decision to every
+ * session.
  *
  * ServingAdaptor owns a rolling MetricsSnapshot: each tick() computes
  * the delta since the previous tick (metrics::snapshotDiff), folds the
  * serving.* instruments into one WindowObservation, and feeds the
- * controller.  When a decision applies, it calls
+ * controller.  When a decision comes back, it calls
  * ServingRuntime::retuneAll — every session lands the swap at its own
  * next chunk boundary, so no protocol step ever sees a mid-chunk knob
  * change.
  *
- * Ticks can be driven two ways:
- *  - manually, tick() per window — what the deterministic tests and
- *    the bench A/B do (the bench ticks on its pacing thread so the
- *    adaptive loop costs no extra thread on the single-core host);
- *  - by a background thread (Options::background + start()), the
- *    production shape.
- * Either way ticks are serialized by a mutex; the controller itself
- * stays single-threaded.
+ * The owner calls tick() once per window, on a thread of its own
+ * choosing (perfbench's serve-spike ticks on its load generator, so the
+ * adaptive loop costs no extra thread).  Ticks are serialized by a
+ * mutex; the controller itself stays single-threaded.
  */
 
 #ifndef REPRO_ADAPT_SERVING_ADAPTOR_H
 #define REPRO_ADAPT_SERVING_ADAPTOR_H
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "adapt/controller.h"
 #include "metrics/metrics.h"
@@ -47,10 +41,6 @@ class ServingAdaptor
     {
         ControllerConfig controller;
 
-        /** Tick period of the background thread (ignored for manual
-         *  ticks). */
-        std::chrono::milliseconds window{100};
-
         /** Clock used to measure window lengths; null = steady clock
          *  (injectable for deterministic tests). */
         std::function<std::chrono::steady_clock::time_point()> clock;
@@ -59,45 +49,29 @@ class ServingAdaptor
     /** @param runtime Must outlive the adaptor. */
     ServingAdaptor(serving::ServingRuntime &runtime, Options options);
 
-    /** Stops the background thread if running. */
-    ~ServingAdaptor();
-
     ServingAdaptor(const ServingAdaptor &) = delete;
     ServingAdaptor &operator=(const ServingAdaptor &) = delete;
 
     /**
      * One observation window: delta the registry since the last tick,
-     * run the controller, broadcast an applied decision.  Returns the
+     * run the controller, broadcast its decision.  Returns the
      * decision, if any.
      */
     std::optional<Decision> tick();
-
-    /** Starts the background tick thread (idempotent). */
-    void start();
-
-    /** Stops the background tick thread (idempotent; the destructor
-     *  calls it). */
-    void stop();
 
     /** The wrapped controller (decision trace, calibration state). */
     const FeedbackController &controller() const { return controller_; }
 
   private:
     std::chrono::steady_clock::time_point now() const;
-    void loop();
 
     serving::ServingRuntime &runtime_;
     const Options opts_;
 
-    std::mutex mu_; //!< Serializes ticks (manual + background).
+    std::mutex mu_; //!< Serializes ticks.
     FeedbackController controller_;
     metrics::MetricsSnapshot prev_;
     std::chrono::steady_clock::time_point lastTick_;
-
-    std::mutex stopMu_;
-    std::condition_variable stopCv_;
-    bool stopping_ = false;
-    std::thread thread_;
 };
 
 } // namespace repro::adapt

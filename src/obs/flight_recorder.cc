@@ -29,7 +29,6 @@ FlightRecorder::FlightRecorder(Options options)
     // Register the counter eagerly so snapshots carry the name even
     // before the first dump (metrics_diff watches for removal).
     (void)flightDumpsCounter();
-    lastPoll_ = now();
 }
 
 std::chrono::steady_clock::time_point
@@ -44,7 +43,6 @@ FlightRecorder::poll()
 {
     const metrics::MetricsSnapshot cur =
         metrics::MetricsRegistry::global().snapshot();
-    lastPoll_ = now();
     if (!primed_) {
         // First poll establishes the window baseline; predicates need
         // a delta to judge.

@@ -18,8 +18,9 @@
  * The clock is injectable so tests drive triggers deterministically
  * with a fake clock; poll() itself is cheap (one registry sweep) and
  * rate-limited by maxDumps so a persistent anomaly cannot fill the
- * disk.  dump() is also callable directly — benches use it to capture
- * an induced abort storm on demand.
+ * disk.  dump() is also callable directly: native_overheads
+ * --flight-dir snapshots a run with it, and the serving trace test
+ * captures an induced abort storm with it.
  */
 
 #ifndef REPRO_OBS_FLIGHT_RECORDER_H
@@ -105,7 +106,6 @@ class FlightRecorder
     bool primed_ = false;
     std::uint64_t triggered_ = 0;
     std::uint64_t dumps_ = 0;
-    std::chrono::steady_clock::time_point lastPoll_;
 };
 
 /** Renders one self-contained dump document (the "repro.flight.v1"

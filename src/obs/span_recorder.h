@@ -64,8 +64,8 @@ class SpanRecorder
 {
   public:
     /** Default per-thread ring capacity.  Sized so a serving session
-     *  under CI load never wraps (the smoke asserts dropped == 0)
-     *  while a ring stays ~0.5 MB per thread. */
+     *  under test load never wraps (the serving tests assert
+     *  dropped == 0) while a ring stays ~0.5 MB per thread. */
     static constexpr std::size_t kDefaultSlots = 8192;
 
     /** The process-wide recorder (immortal). */

@@ -17,6 +17,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
+/** Background coordinator wake period: the granularity of deadline
+ *  checks. */
+constexpr std::chrono::microseconds kPollPeriod{200};
+
 /** The serving layer's instruments, resolved once (registry lookups
  *  take a lock; the steady state must not). */
 struct ServingMetrics
@@ -34,9 +38,6 @@ struct ServingMetrics
     metrics::Counter &chunksAborted;
     metrics::Counter &outputsDelivered;
     metrics::Counter &retunesApplied;
-    /** Highest queue depth (open chunk + ring) any closure observed
-     *  since the last registry reset; published set-to-max. */
-    metrics::Gauge &queueDepthHighwater;
     metrics::LatencyHistogram &e2eLatency;
     /** Unit: *inputs* pending for the session at chunk closure, not
      *  seconds — the power-of-two bucketing is what we want. */
@@ -84,7 +85,6 @@ servingMetrics()
         reg.counter("serving.chunks_aborted"),
         reg.counter("serving.outputs_delivered"),
         reg.counter("serving.retunes_applied"),
-        reg.gauge("serving.queue_depth_highwater"),
         reg.histogram("serving.e2e_latency_seconds"),
         reg.histogram("serving.queue_depth"),
         reg.histogram("serving.chunk_process_seconds"),
@@ -106,10 +106,10 @@ namespace detail {
 struct Session
 {
     Session(SessionId sid, const core::IStateModel &m, SessionConfig c,
-            std::function<TimePoint()> clk, util::ThreadPool *pool)
+            std::function<TimePoint()> clk)
         : id(sid), cfg(std::move(c)), numInputs(m.numInputs()),
           clock(std::move(clk)),
-          pipeline(m, cfg.stats, cfg.seed, pool),
+          pipeline(m, cfg.stats, cfg.seed, &util::ThreadPool::global()),
           ring(cfg.queueCapacity)
     {
         active.chunkInputs = cfg.chunkInputs;
@@ -208,21 +208,6 @@ drainRingLocked(Session &s,
     }
 }
 
-/** Publishes "deepest queue any closure has seen": set-to-max against
- *  the gauge's own current value, so a registry resetAll starts a
- *  fresh highwater epoch instead of leaving a stale offset. */
-void
-publishQueueHighwater(std::size_t depth)
-{
-    static std::mutex mu;
-    const std::lock_guard<std::mutex> lock(mu);
-    metrics::Gauge &g = servingMetrics().queueDepthHighwater;
-    const auto d = static_cast<std::int64_t>(depth);
-    const std::int64_t cur = g.value();
-    if (d > cur)
-        g.add(d - cur);
-}
-
 /** Moves the open chunk onto the closed queue.  Caller holds
  *  consumerMu; the open chunk must be non-empty. */
 void
@@ -231,7 +216,6 @@ closeOpen(Session &s, bool deadline, bool drainClose)
     auto &m = servingMetrics();
     const std::size_t depth = s.open.size() + s.ring.size();
     m.queueDepth.observe(static_cast<double>(depth));
-    publishQueueHighwater(depth);
     Session::ClosedChunk chunk;
     chunk.tokens = std::move(s.open);
     chunk.deadline = deadline;
@@ -453,15 +437,13 @@ ServingRuntime::admit(const core::IStateModel &model, SessionConfig config)
                  "session chunk size must be >= 1");
     REPRO_ASSERT(config.queueCapacity >= 1,
                  "session queue capacity must be >= 1");
-    util::ThreadPool *pool =
-        opts_.maxThreads == 1 ? nullptr : &util::ThreadPool::global();
     std::shared_ptr<detail::Session> s;
     SessionId id = 0;
     {
         const std::lock_guard<std::mutex> lock(sessionsMu_);
         id = nextId_++;
         s = std::make_shared<detail::Session>(id, model, std::move(config),
-                                      opts_.clock, pool);
+                                              opts_.clock);
         sessions_.emplace(id, std::move(s));
     }
     auto &m = servingMetrics();
@@ -652,7 +634,7 @@ ServingRuntime::coordinatorLoop()
 {
     std::unique_lock<std::mutex> lock(coordMu_);
     while (!stopping_) {
-        coordCv_.wait_for(lock, opts_.pollPeriod,
+        coordCv_.wait_for(lock, kPollPeriod,
                           [this] { return stopping_; });
         if (stopping_)
             break;

@@ -165,17 +165,11 @@ struct SessionConfig
 /** Runtime-wide options. */
 struct ServingOptions
 {
-    /** Cap on pool concurrency the serving layer may occupy (0 = the
-     *  pool's worker count). */
-    unsigned maxThreads = 0;
-
-    /** Start the background coordinator thread (default).  Tests turn
+    /** Start the background coordinator thread (default), which polls
+     *  every 200 us — the granularity of deadline checks.  Tests turn
      *  this off and pump poll() manually for deterministic closure
      *  traces. */
     bool backgroundCoordinator = true;
-
-    /** Coordinator wake period — the granularity of deadline checks. */
-    std::chrono::microseconds pollPeriod{200};
 
     /** Clock the runtime stamps and ages inputs with; null = steady
      *  clock.  Injectable for deterministic deadline tests. */

@@ -1,9 +1,8 @@
 /**
  * @file
  * FeedbackController unit tests: hysteresis (warmup, dwell, deadband),
- * bounded single-knob steps with clamping, Frozen mode recording
- * without applying, evidence gating of K-shrink and replica growth,
- * and latency-budget shaping of chunk growth.
+ * bounded single-knob steps with clamping, evidence gating of K-shrink
+ * and replica growth, and latency-budget shaping of chunk growth.
  *
  * Every test drives the controller with synthetic WindowObservations,
  * so decisions depend only on the fed numbers — no timing, no metrics
@@ -20,7 +19,6 @@
 namespace {
 
 using repro::adapt::ControllerConfig;
-using repro::adapt::ControllerMode;
 using repro::adapt::Decision;
 using repro::adapt::FeedbackController;
 using repro::adapt::WindowObservation;
@@ -111,25 +109,6 @@ TEST(FeedbackController, DeadbandBlocksMarginalMoves)
     for (int i = 0; i < 10; ++i)
         EXPECT_FALSE(controller.observe(saturatedWindow({8, 8, 1})));
     EXPECT_TRUE(controller.decisions().empty());
-}
-
-TEST(FeedbackController, FrozenRecordsButNeverApplies)
-{
-    ControllerConfig cc = eagerConfig({8, 8, 1});
-    cc.mode = ControllerMode::Frozen;
-    cc.dwellWindows = 1;
-    FeedbackController controller(cc);
-    for (int i = 0; i < 12; ++i)
-        (void)controller.observe(saturatedWindow({8, 8, 1}));
-    ASSERT_GE(controller.decisions().size(), 2u);
-    for (const Decision &d : controller.decisions())
-        EXPECT_FALSE(d.applied);
-    // Knobs never moved; the recorded trace still says what Active
-    // mode would have done.
-    EXPECT_EQ(controller.current().chunkInputs, 8u);
-    EXPECT_EQ(controller.current().altWindowK, 8u);
-    EXPECT_STREQ(controller.decisions().front().knob, "chunk");
-    EXPECT_EQ(controller.dwellViolations(), 0u);
 }
 
 TEST(FeedbackController, StepsAreSingleKnobBoundedAndClamped)

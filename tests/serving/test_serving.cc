@@ -2,8 +2,8 @@
  * @file
  * ServingRuntime behaviour tests: session lifecycle, typed submit
  * backpressure, deterministic fake-clock deadline closure, closure-
- * order invariance of outputs, concurrent multi-session traffic, and
- * BlockArena reclamation at eviction.
+ * order invariance of outputs, concurrent multi-session traffic with
+ * its registry accounting, and BlockArena reclamation at eviction.
  *
  * Every deterministic test runs with the background coordinator off
  * and pumps poll() manually against an injected fake clock, so closure
@@ -308,9 +308,10 @@ TEST(ServingRuntime, ConcurrentSessionsDeliverIndependently)
     mc.inputs = 512;
     const EmaModel model(mc);
 
-    ServingOptions opts; // Real background coordinator + real clock.
-    opts.pollPeriod = std::chrono::microseconds(100);
-    ServingRuntime runtime(opts);
+    auto &registry = repro::metrics::MetricsRegistry::global();
+    const repro::metrics::MetricsSnapshot before = registry.snapshot();
+
+    ServingRuntime runtime; // Real background coordinator + real clock.
 
     constexpr int kSessions = 4;
     constexpr int kInputs = 200;
@@ -369,6 +370,20 @@ TEST(ServingRuntime, ConcurrentSessionsDeliverIndependently)
             << "session " << i;
     }
     EXPECT_EQ(runtime.activeSessions(), 0u);
+
+    // The registry agrees: every accepted input was delivered, every
+    // session left the active gauge, and the always-on span rings
+    // recorded the traffic without wrapping.
+    const repro::metrics::MetricsSnapshot delta =
+        repro::metrics::snapshotDiff(before, registry.snapshot());
+    EXPECT_EQ(delta.counterValue("serving.inputs_submitted"),
+              static_cast<std::uint64_t>(kSessions * kInputs));
+    EXPECT_EQ(delta.counterValue("serving.outputs_delivered"),
+              delta.counterValue("serving.inputs_submitted"));
+    EXPECT_EQ(registry.gauge("serving.sessions_active").value(),
+              before.gaugeValue("serving.sessions_active"));
+    EXPECT_GT(delta.counterValue("obs.spans_recorded"), 0u);
+    EXPECT_EQ(delta.counterValue("obs.dropped_spans"), 0u);
 }
 
 TEST(ServingRuntime, EvictionReturnsEveryArenaBlock)

@@ -1,8 +1,11 @@
 /**
  * @file
  * Boundary-reconfiguration determinism tests: live retuning of a
- * serving session must land only at chunk boundaries, and an adaptive
- * run in Frozen mode must stay bit-identical to the batch oracle.
+ * serving session must land only at chunk boundaries; a ticking
+ * adaptor with every knob pinned must stay bit-identical to the batch
+ * oracle; and a live adaptor under backlog must grow the chunk at the
+ * next boundary while its outputs still replay bit for bit through a
+ * fresh SessionPipeline fed the delivered closure trace.
  *
  * Every test runs the coordinator manually against a fake clock, so
  * closure traces — and therefore outputs — are exact.
@@ -15,18 +18,21 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "adapt/serving_adaptor.h"
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
+#include "metrics/metrics.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
 #include "util/thread_pool.h"
 
 namespace {
 
-using repro::adapt::ControllerMode;
+using repro::adapt::Decision;
 using repro::adapt::ServingAdaptor;
 using repro::core::NativeRuntime;
 using repro::core::StatsConfig;
@@ -221,12 +227,13 @@ TEST(ServingAdapt, MidStreamKRSwapMatchesReconfiguredPipelineOracle)
     runtime.evict(id);
 }
 
-TEST(ServingAdapt, FrozenAdaptiveServingMatchesBatchOracle)
+TEST(ServingAdapt, PinnedAdaptorServingMatchesBatchOracle)
 {
-    // Full adaptive loop attached — adaptor ticking between polls,
-    // controller eager to move — but in Frozen mode: the serving run
-    // must stay bit-identical to NativeRuntime::run on the batch
-    // boundary schedule, with zero retunes applied.
+    // Full adaptive loop attached — adaptor ticking between closures,
+    // controller eager to move — but every knob pinned (min == max):
+    // the controller has no candidate, so it never decides, and the
+    // serving run stays bit-identical to NativeRuntime::run on the
+    // batch boundary schedule.
     EmaModel::Config mc;
     mc.inputs = 120;
     mc.alpha = 0.3;
@@ -253,8 +260,12 @@ TEST(ServingAdapt, FrozenAdaptiveServingMatchesBatchOracle)
     sc.onResult = results.fn();
     const SessionId id = runtime.admit(model, sc);
 
+    const SessionTuning pinned{sc.chunkInputs, config.altWindowK,
+                               config.numOriginalStates};
     ServingAdaptor::Options ao;
-    ao.controller.mode = ControllerMode::Frozen;
+    ao.controller.initial = pinned;
+    ao.controller.minKnobs = pinned;
+    ao.controller.maxKnobs = pinned;
     ao.controller.warmupWindows = 1;
     ao.controller.dwellWindows = 0;
     ao.controller.deadband = 0.01;
@@ -270,13 +281,15 @@ TEST(ServingAdapt, FrozenAdaptiveServingMatchesBatchOracle)
                       SubmitStatus::Accepted);
         ASSERT_TRUE(runtime.closeChunk(id));
         clock.advance(std::chrono::milliseconds(100));
-        (void)adaptor.tick(); // Observes; must never retune.
+        EXPECT_FALSE(adaptor.tick().has_value());
     }
     runtime.drain(id);
 
+    EXPECT_TRUE(adaptor.controller().decisions().empty());
+    EXPECT_EQ(adaptor.controller().windows(), config.numChunks);
     const auto stats = runtime.sessionStats(id);
     EXPECT_EQ(stats.retunesApplied, 0u);
-    EXPECT_EQ(stats.tuning.altWindowK, config.altWindowK);
+    EXPECT_EQ(stats.tuning, pinned);
     EXPECT_EQ(stats.aborts, oracle.aborts);
     // Chunk 0 is never speculative: the runtime counts it as a commit,
     // the batch tally counts boundaries only.
@@ -287,6 +300,134 @@ TEST(ServingAdapt, FrozenAdaptiveServingMatchesBatchOracle)
     for (std::size_t i = 0; i < results.outputs.size(); ++i)
         ASSERT_EQ(results.outputs[i], oracle.outputs[i])
             << "input " << i;
+    runtime.evict(id);
+}
+
+TEST(ServingAdapt, AdaptorGrowsChunkUnderBacklog)
+{
+    // serve-spike's shape on a fake clock: 8-input chunks with K and R
+    // pinned, a producer that fills the ring to backpressure every
+    // window, and the adaptor ticking once per window.  The saturated
+    // controller must double the chunk; the swap must land at the next
+    // chunk boundary; and the delivered closure trace must replay bit
+    // for bit through a fresh SessionPipeline (perfbench's verify()).
+    EmaModel::Config mc;
+    mc.inputs = 256;
+    mc.alpha = 0.05;
+    mc.tolerance = 0.02; // Mix of commits and aborts.
+    const EmaModel model(mc);
+    constexpr unsigned kK = 2;
+    constexpr unsigned kR = 1;
+    const std::uint64_t seed = 21;
+
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    SizedCollector results;
+    SessionConfig sc;
+    sc.seed = seed;
+    sc.stats.altWindowK = kK;
+    sc.stats.numOriginalStates = kR;
+    sc.chunkInputs = 8;
+    // Not a multiple of 8, so a window ends mid-chunk and the decision
+    // has to wait for the boundary.
+    sc.queueCapacity = 62;
+    sc.onResult = results.fn();
+    const SessionId id = runtime.admit(model, sc);
+
+    auto &registry = repro::metrics::MetricsRegistry::global();
+    const repro::metrics::MetricsSnapshot before = registry.snapshot();
+
+    // Only the chunk knob may move, as in serve-spike.
+    ServingAdaptor::Options ao;
+    ao.controller.initial = {8, kK, kR};
+    ao.controller.minKnobs = {8, kK, kR};
+    ao.controller.maxKnobs = {512, kK, kR};
+    ao.controller.dwellWindows = 1;
+    ao.clock = clock.fn();
+    ServingAdaptor adaptor(runtime, ao);
+
+    // One backlogged window: submit until the ring pushes back, close
+    // what fits, and wait (10 s at most) until every closed chunk is
+    // delivered and counted, so the tick sees the whole window.
+    const auto fillAndClose = [&] {
+        while (runtime.submit(id).status == SubmitStatus::Accepted) {
+        }
+        runtime.poll();
+        const std::uint64_t closed = runtime.sessionStats(id).chunksClosed;
+        const auto deadline = Clock::now() + std::chrono::seconds(10);
+        while (Clock::now() < deadline) {
+            std::size_t chunks = 0;
+            std::uint64_t inputs = 0;
+            {
+                const std::lock_guard<std::mutex> lock(results.mu);
+                chunks = results.chunkSizes.size();
+                inputs = results.outputs.size();
+            }
+            const std::uint64_t counted =
+                registry.counter("serving.outputs_delivered").value() -
+                before.counterValue("serving.outputs_delivered");
+            if (chunks == closed && counted == inputs)
+                return true;
+            std::this_thread::yield();
+        }
+        return false;
+    };
+
+    std::optional<Decision> decision;
+    for (int window = 0; window < 4 && !decision; ++window) {
+        ASSERT_TRUE(fillAndClose()) << "window " << window;
+        clock.advance(std::chrono::milliseconds(50));
+        decision = adaptor.tick();
+    }
+    ASSERT_TRUE(decision.has_value());
+    EXPECT_TRUE(decision->applied);
+    EXPECT_STREQ(decision->knob, "chunk");
+    EXPECT_EQ(decision->direction, 1);
+    EXPECT_EQ(decision->from, (SessionTuning{8, kK, kR}));
+    EXPECT_EQ(decision->to, (SessionTuning{16, kK, kR}));
+
+    // The window ended mid-chunk: the swap is pending, not applied.
+    std::size_t boundary = 0;
+    {
+        const std::lock_guard<std::mutex> lock(results.mu);
+        boundary = results.chunkSizes.size();
+    }
+    {
+        const auto stats = runtime.sessionStats(id);
+        EXPECT_EQ(stats.retunesApplied, 0u);
+        EXPECT_EQ(stats.tuning.chunkInputs, 8u);
+    }
+
+    ASSERT_TRUE(fillAndClose());
+    runtime.drain(id);
+
+    ASSERT_EQ(adaptor.controller().decisions().size(), 1u);
+    const auto stats = runtime.sessionStats(id);
+    EXPECT_GE(stats.retunesApplied, 1u);
+    EXPECT_EQ(stats.tuning.chunkInputs, 16u);
+    EXPECT_EQ(stats.outputsDelivered, stats.submitted);
+    const repro::metrics::MetricsSnapshot delta =
+        repro::metrics::snapshotDiff(before, registry.snapshot());
+    EXPECT_EQ(delta.counterValue("adapt.dwell_violations"), 0u);
+
+    const std::lock_guard<std::mutex> lock(results.mu);
+    // The open chunk closed at the old size; the next one at the new.
+    ASSERT_GT(results.chunkSizes.size(), boundary + 1);
+    for (std::size_t c = 0; c <= boundary; ++c)
+        EXPECT_EQ(results.chunkSizes[c], 8u) << "chunk " << c;
+    EXPECT_EQ(results.chunkSizes[boundary + 1], 16u);
+
+    // Replay the delivered closure trace through a fresh pipeline.
+    SessionPipeline replay(model, {kK, kR}, seed);
+    std::vector<double> expected;
+    for (const std::size_t size : results.chunkSizes) {
+        const auto chunk = replay.processChunk(size);
+        expected.insert(expected.end(), chunk.outputs.begin(),
+                        chunk.outputs.end());
+    }
+    ASSERT_EQ(results.outputs.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(results.outputs[i], expected[i]) << "input " << i;
     runtime.evict(id);
 }
 
