@@ -43,13 +43,16 @@ main(int argc, char **argv)
         for (const auto *d : {&orig, &stats}) {
             util::Histogram hist(lo, lo + span, 24);
             hist.addAll(d->samples);
+            std::string sparkline = "|";
+            sparkline += hist.sparkline();
+            sparkline += '|';
             table.addRow(
                 {d == &orig ? w->name() : "",
                  d == &orig ? "original" : "stats",
                  formatDouble(d->min, 4), formatDouble(d->p25, 4),
                  formatDouble(d->median, 4), formatDouble(d->p75, 4),
                  formatDouble(d->max, 4), formatDouble(d->mean, 4),
-                 "|" + hist.sparkline() + "|"});
+                 sparkline});
         }
     }
     bench::emit(table,

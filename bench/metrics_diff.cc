@@ -147,7 +147,10 @@ formatDelta(double delta)
 {
     if (std::isinf(delta))
         return "new";
-    return (delta >= 0 ? "+" : "") + formatDouble(delta * 100.0, 1) + "%";
+    std::string out = delta >= 0 ? "+" : "";
+    out += formatDouble(delta * 100.0, 1);
+    out += '%';
+    return out;
 }
 
 } // namespace

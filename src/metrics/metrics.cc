@@ -57,7 +57,10 @@ LatencyHistogram::observe(double seconds)
 {
     if (!enabled())
         return;
-    const double us = std::max(seconds, 0.0) * 1e6;
+    // A negative sample (a clock that stepped back) counts as 0 in
+    // the bucket and the sum alike; the sum is unsigned.
+    seconds = std::max(seconds, 0.0);
+    const double us = seconds * 1e6;
     // Bucket index = floor(log2(us)) - kLog2Lo, clamped into range.
     // log2(0) is -inf; the first bucket absorbs it.
     int b = 0;

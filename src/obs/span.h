@@ -7,10 +7,12 @@
  * The aggregate metrics (metrics/metrics.h) answer "how much"; spans
  * answer "which one".  Every span carries the session, chunk, and
  * input-range identifiers of the work it timed plus the id of the
- * span that caused it, so a single input's life — submit, queue wait,
- * chunk closure, speculation, validation, commit or abort and
- * re-execution, callback — is reconstructable from a flight-recorder
- * dump after the fact.
+ * span that caused it, so a chunk's life — closure (timed from its
+ * oldest input's submit), speculation, validation, commit or abort
+ * and re-execution, callback — is reconstructable from a
+ * flight-recorder dump after the fact.  Spans are per chunk, never
+ * per input: span counts are a function of the closure trace, and
+ * per-input latency lives in serving.e2e_latency_seconds.
  *
  * Spans are plain trivially-copyable structs: the recorder
  * (obs/span_recorder.h) stores them in fixed per-thread rings with no
@@ -27,9 +29,8 @@ namespace repro::obs {
 /** What a span timed.  Names mirror the protocol steps (and, where
  *  one exists, the trace::TaskKind the step is charged to). */
 enum class SpanKind : std::uint8_t {
-    Submit,       //!< One input accepted into a session's queue.
-    QueueWait,    //!< Input's dwell between submit and chunk closure.
-    ChunkClose,   //!< Coordinator closed a chunk (size or deadline).
+    ChunkClose,   //!< Chunk closure (size or deadline), timed from
+                  //!< its oldest input's submit.
     ChunkProcess, //!< Strand processing one closed chunk end to end.
     AltProducer,  //!< Alternative-producer replay of K inputs.
     ChunkBody,    //!< Speculative chunk body execution.
@@ -44,7 +45,7 @@ enum class SpanKind : std::uint8_t {
     NumKinds
 };
 
-/** Stable lower-case name of @p kind ("queue_wait", "abort", ...). */
+/** Stable lower-case name of @p kind ("chunk_close", "abort", ...). */
 const char *spanKindName(SpanKind kind);
 
 /** One recorded step.  Ids are process-unique and monotone; 0 is
@@ -58,7 +59,7 @@ struct Span
     std::int64_t firstInput = -1; //!< Stream index of first input.
     std::uint32_t inputCount = 0; //!< Inputs covered by the span.
     std::uint32_t thread = 0;     //!< Recorder thread slot.
-    SpanKind kind = SpanKind::Submit;
+    SpanKind kind = SpanKind::ChunkClose;
     std::uint64_t startNs = 0; //!< steady_clock nanos at start().
     std::uint64_t endNs = 0;   //!< steady_clock nanos at finish().
     /** Kind-specific payload: replica index for ReplicaRegen, matched

@@ -199,8 +199,6 @@ const char *
 spanKindName(SpanKind kind)
 {
     switch (kind) {
-      case SpanKind::Submit:        return "submit";
-      case SpanKind::QueueWait:     return "queue_wait";
       case SpanKind::ChunkClose:    return "chunk_close";
       case SpanKind::ChunkProcess:  return "chunk_process";
       case SpanKind::AltProducer:   return "alt_producer";

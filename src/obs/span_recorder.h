@@ -93,9 +93,9 @@ class SpanRecorder
     void finish(Span &span);
 
     /** Records an already-timed span whose start/end the caller
-     *  stamped itself (queue-wait spans start at submit time on a
-     *  different thread).  @p span.id must come from start() or
-     *  nextId(). */
+     *  stamped itself (a chunk_close span starts at its oldest
+     *  input's submit, on a different thread).  @p span.id must come
+     *  from start() or nextId(). */
     void record(const Span &span);
 
     /** Allocates a span id without opening a span (0 when disabled).

@@ -45,27 +45,16 @@ struct ServingMetrics
     metrics::LatencyHistogram &chunkProcess;
 };
 
-/** An input in flight between submit() and chunk closure: the
- *  deadline-clock enqueue stamp (possibly a fake clock) plus the
- *  trace identity — stream index, submit span, and the *real* clock
- *  nanos the queue-wait span is timed with (span timestamps must stay
- *  on one clock even when deadlines run on an injected one). */
+/** An input in flight between submit() and chunk closure: its
+ *  session-clock enqueue stamp (possibly a fake clock) and stream
+ *  index.  Inputs record no span of their own: the chunk_close span
+ *  of the chunk they land in starts at its oldest input's stamp, and
+ *  per-input latency lives in serving.e2e_latency_seconds. */
 struct InputToken
 {
     TimePoint stamp;
-    std::uint64_t index = 0;    //!< Stream index of the input.
-    std::uint64_t spanId = 0;   //!< Submit span (0 = untraced).
-    std::uint64_t submitNs = 0; //!< steady_clock nanos at submit.
+    std::uint64_t index = 0; //!< Stream index of the input.
 };
-
-std::uint64_t
-steadyNowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now().time_since_epoch())
-            .count());
-}
 
 ServingMetrics &
 servingMetrics()
@@ -136,8 +125,8 @@ struct Session
     // ---- Consumer side (coordinator / poll / drain, serialized by
     //      consumerMu) --------------------------------------------------
     /** One closed-but-unprocessed chunk: the input tokens (enqueue
-     *  stamps the strand turns into e2e latencies, plus each input's
-     *  trace identity) and the closure's own span for causal links. */
+     *  stamps the strand turns into e2e latencies) and the closure's
+     *  own span for causal links. */
     struct ClosedChunk
     {
         std::vector<InputToken> tokens;
@@ -224,37 +213,24 @@ closeOpen(Session &s, bool deadline, bool drainClose)
     s.open.clear();
     const std::uint64_t chunkIndex =
         s.chunksClosed.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-        // The closure is instantaneous but anchors the chunk's causal
-        // chain; each input also gets its queue-wait span, parented on
-        // its submit span and timed submit -> closure on the real
-        // clock.
-        auto &rec = obs::SpanRecorder::global();
-        const std::uint64_t nowRealNs = steadyNowNs();
-        obs::Span close = rec.start(
-            obs::SpanKind::ChunkClose, 0, s.id,
-            static_cast<std::int64_t>(chunkIndex),
-            static_cast<std::int64_t>(chunk.tokens.front().index),
-            static_cast<std::uint32_t>(chunk.tokens.size()),
-            deadline ? 1 : 0);
-        chunk.closeSpan = close.id;
-        for (const InputToken &token : chunk.tokens) {
-            obs::Span wait;
-            wait.id = rec.nextId();
-            wait.parent = token.spanId;
-            wait.session = s.id;
-            wait.chunk = static_cast<std::int64_t>(chunkIndex);
-            wait.firstInput = static_cast<std::int64_t>(token.index);
-            wait.inputCount = 1;
-            wait.kind = obs::SpanKind::QueueWait;
-            // submitNs == 0: tracing was off when this input was
-            // submitted — degrade to a zero-length span at closure.
-            wait.startNs = token.submitNs ? token.submitNs : nowRealNs;
-            wait.endNs = nowRealNs;
-            rec.record(wait);
-        }
-        rec.finish(close);
-    }
+    // The closure anchors the chunk's causal chain, and its span is
+    // the oldest input's queue wait: it runs from that input's submit
+    // stamp to now.  Span timestamps stay on the real clock, so under
+    // an injected session clock the span is zero-length at closure.
+    auto &rec = obs::SpanRecorder::global();
+    obs::Span close = rec.start(
+        obs::SpanKind::ChunkClose, 0, s.id,
+        static_cast<std::int64_t>(chunkIndex),
+        static_cast<std::int64_t>(chunk.tokens.front().index),
+        static_cast<std::uint32_t>(chunk.tokens.size()), deadline ? 1 : 0);
+    close.endNs = close.startNs;
+    if (!s.clock)
+        close.startNs = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                chunk.tokens.front().stamp.time_since_epoch())
+                .count());
+    chunk.closeSpan = close.id;
+    rec.record(close);
     s.closed.push_back(std::move(chunk));
     if (deadline) {
         s.deadlineClosures.fetch_add(1, std::memory_order_relaxed);
@@ -476,25 +452,11 @@ ServingRuntime::submit(SessionId id)
     // stream index.
     const std::uint64_t index =
         s->accepted.load(std::memory_order_relaxed);
-    InputToken token{s->now(), index, 0, 0};
-    obs::Span submitSpan;
-    if (obs::enabled()) {
-        submitSpan = obs::SpanRecorder::global().start(
-            obs::SpanKind::Submit, 0, s->id, -1,
-            static_cast<std::int64_t>(index), 1);
-        token.spanId = submitSpan.id;
-        token.submitNs = submitSpan.startNs;
-    }
-    if (!s->ring.tryPush(token)) {
-        // Rejected inputs never entered the stream; their span is
-        // dropped unrecorded so traced span counts stay a function of
-        // the accepted input sequence.
+    if (!s->ring.tryPush({s->now(), index})) {
         s->rejected.fetch_add(1, std::memory_order_relaxed);
         m.inputsRejected.inc();
         return {SubmitStatus::Backpressure, s->ring.size()};
     }
-    if (submitSpan.id != 0)
-        obs::SpanRecorder::global().finish(submitSpan);
     s->accepted.fetch_add(1, std::memory_order_relaxed);
     m.inputsSubmitted.inc();
     return {SubmitStatus::Accepted, s->ring.size()};

@@ -241,9 +241,10 @@ TEST(FeedbackController, LatencyBudgetStopsChunkGrowthWhenUnsaturated)
     };
     for (int i = 0; i < 10; ++i) {
         const auto d = controller.observe(unsaturatedWindow());
-        if (d)
+        if (d) {
             EXPECT_STRNE(d->knob, "chunk")
                 << "chunk growth past the deadline cap";
+        }
     }
     // The same stream under backpressure flips to throughput scoring
     // and chunk growth becomes the right move.

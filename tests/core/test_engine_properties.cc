@@ -129,10 +129,12 @@ TEST_P(EngineConfigSweep, ThreadCountFormula)
 std::string
 configName(const ::testing::TestParamInfo<ConfigTuple> &info)
 {
-    return "C" + std::to_string(std::get<0>(info.param)) + "k" +
-           std::to_string(std::get<1>(info.param)) + "R" +
-           std::to_string(std::get<2>(info.param)) + "t" +
-           std::to_string(std::get<3>(info.param));
+    std::string name = "C";
+    name += std::to_string(std::get<0>(info.param)) + "k" +
+            std::to_string(std::get<1>(info.param)) + "R" +
+            std::to_string(std::get<2>(info.param)) + "t" +
+            std::to_string(std::get<3>(info.param));
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

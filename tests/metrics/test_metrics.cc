@@ -145,6 +145,21 @@ TEST_F(MetricsTest, LatencyHistogramBucketsAndStats)
     EXPECT_EQ(total, 3u);
 }
 
+TEST_F(MetricsTest, LatencyHistogramClampsNegativeSamples)
+{
+    // A session clock that steps backwards yields a negative latency:
+    // it lands in bucket 0 and adds nothing to the sum.
+    LatencyHistogram h;
+    h.observe(-1.0);
+    LatencyHistogram::Snapshot snap = h.snapshot();
+    EXPECT_EQ(snap.count, 1u);
+    EXPECT_EQ(snap.buckets[0], 1u);
+    EXPECT_EQ(snap.sumSeconds, 0.0);
+    h.observe(1e-3);
+    snap = h.snapshot();
+    EXPECT_NEAR(snap.sumSeconds, 1e-3, 1e-12);
+}
+
 TEST_F(MetricsTest, LatencyHistogramQuantiles)
 {
     LatencyHistogram h;

@@ -41,7 +41,7 @@ TEST(SpanRing, WrapAroundDropsOldest)
     SpanRecorder rec(4);
     std::vector<std::uint64_t> ids;
     for (int i = 0; i < 6; ++i) {
-        Span s = rec.start(SpanKind::Submit, 0, 7, i);
+        Span s = rec.start(SpanKind::ChunkClose, 0, 7, i);
         ids.push_back(s.id);
         rec.finish(s);
     }
@@ -59,12 +59,12 @@ TEST(SpanRing, WrapAroundDropsOldest)
 TEST(SpanRing, ClearResetsRingsButNotIds)
 {
     SpanRecorder rec(4);
-    Span a = rec.start(SpanKind::Submit);
+    Span a = rec.start(SpanKind::ChunkClose);
     rec.finish(a);
     rec.clear();
     EXPECT_TRUE(rec.snapshot().spans.empty());
     EXPECT_EQ(rec.snapshot().recorded, 0u);
-    Span b = rec.start(SpanKind::Submit);
+    Span b = rec.start(SpanKind::ChunkClose);
     rec.finish(b);
     EXPECT_GT(b.id, a.id); // Ids keep growing across clear().
 }
@@ -73,7 +73,7 @@ TEST(SpanRing, DisabledRecordingIsInert)
 {
     SpanRecorder rec(4);
     repro::obs::setEnabled(false);
-    Span s = rec.start(SpanKind::Submit, 0, 1);
+    Span s = rec.start(SpanKind::ChunkClose, 0, 1);
     EXPECT_EQ(s.id, 0u);
     rec.finish(s);
     EXPECT_EQ(rec.nextId(), 0u);

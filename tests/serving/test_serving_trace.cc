@@ -9,18 +9,26 @@
  * The runtime runs against a fake clock that never moves, with the
  * coordinator pumped manually, so every chunk closes on size and the
  * closure trace — and with it every abort — is deterministic.
+ *
+ * The serving path records spans per chunk, never per input: a
+ * chunk's chain starts at its chunk_close span, which runs from the
+ * oldest input's submit to the closure, so span counts follow the
+ * closure trace and not the number of inputs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/ema_model.h"
 #include "metrics/metrics.h"
 #include "obs/abort_report.h"
 #include "obs/flight_recorder.h"
@@ -36,15 +44,81 @@ using repro::metrics::MetricsRegistry;
 using repro::metrics::MetricsSnapshot;
 using repro::obs::AbortLog;
 using repro::obs::FlightRecorder;
+using repro::obs::Span;
+using repro::obs::SpanKind;
 using repro::obs::SpanRecorder;
+using repro::serving::ResultChunk;
 using repro::serving::ServingOptions;
 using repro::serving::ServingRuntime;
 using repro::serving::SessionConfig;
 using repro::serving::SessionId;
 using repro::serving::SubmitStatus;
+using repro::testing::EmaModel;
 using repro::util::JsonValue;
 
 using Clock = std::chrono::steady_clock;
+
+/** One ResultChunk as delivered, without its outputs. */
+struct Delivery
+{
+    unsigned chunkIndex = 0;
+    std::size_t firstInput = 0;
+    std::size_t inputCount = 0;
+};
+
+/** What one session on the steady clock leaves behind after serving
+ *  four chunks closed by hand. */
+struct ChunkedRun
+{
+    std::uint64_t spansRecorded = 0; //!< obs.spans_recorded delta.
+    std::uint64_t aborts = 0;
+    std::vector<Delivery> deliveries;
+    std::vector<Span> spans; //!< Every span the run recorded.
+    std::uint64_t beforeFirstSubmitNs = 0;
+};
+
+/** Serves 4 chunks of @p chunkInputs inputs: each is submitted, pulled
+ *  into the open chunk by poll() and closed by closeChunk(). */
+ChunkedRun
+serveFourChunks(const EmaModel &model, std::size_t chunkInputs)
+{
+    ChunkedRun run;
+    std::mutex mu; // The callback runs on a pool worker.
+    ServingOptions opts;
+    opts.backgroundCoordinator = false; // No opts.clock: steady clock.
+    ServingRuntime runtime(opts);
+    SessionConfig cfg;
+    cfg.chunkInputs = 4096; // Never closes on size.
+    cfg.queueCapacity = chunkInputs;
+    cfg.onResult = [&](const ResultChunk &r) {
+        const std::lock_guard<std::mutex> lock(mu);
+        run.deliveries.push_back(
+            {r.chunkIndex, r.firstInput, r.outputs.size()});
+    };
+    const SessionId id = runtime.admit(model, cfg);
+
+    SpanRecorder::global().clear();
+    auto &registry = MetricsRegistry::global();
+    const MetricsSnapshot before = registry.snapshot();
+    run.beforeFirstSubmitNs = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now().time_since_epoch())
+            .count());
+    for (int chunk = 0; chunk < 4; ++chunk) {
+        for (std::size_t i = 0; i < chunkInputs; ++i)
+            EXPECT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+        runtime.poll();
+        EXPECT_TRUE(runtime.closeChunk(id));
+    }
+    runtime.drain(id);
+    run.spansRecorded =
+        repro::metrics::snapshotDiff(before, registry.snapshot())
+            .counterValue("obs.spans_recorded");
+    run.spans = SpanRecorder::global().snapshot().spans;
+    run.aborts = runtime.sessionStats(id).aborts;
+    runtime.evict(id);
+    return run;
+}
 
 TEST(ServingTrace, AbortStormFlightDumpIsSelfContained)
 {
@@ -170,6 +244,53 @@ TEST(ServingTrace, AbortStormFlightDumpIsSelfContained)
     }
 
     std::filesystem::remove_all(dir);
+}
+
+TEST(ServingTrace, SpansArePerChunkNotPerInput)
+{
+    // A fast-forgetting EMA with a loose tolerance: every speculation
+    // commits, so each chunk runs the same protocol steps whatever
+    // its size.
+    EmaModel::Config mc;
+    mc.inputs = 4 * 64;
+    mc.alpha = 0.9;
+    mc.tolerance = 1.0;
+    const EmaModel model(mc);
+
+    const ChunkedRun wide = serveFourChunks(model, 64);
+    ASSERT_EQ(wide.aborts, 0u);
+    ASSERT_EQ(wide.deliveries.size(), 4u);
+
+    std::vector<Span> closes;
+    std::size_t perInputSpans = 0;
+    for (const Span &span : wide.spans) {
+        const std::string kind = repro::obs::spanKindName(span.kind);
+        if (kind == "submit" || kind == "queue_wait")
+            ++perInputSpans;
+        if (span.kind == SpanKind::ChunkClose)
+            closes.push_back(span);
+    }
+    EXPECT_EQ(perInputSpans, 0u);
+    // One chunk_close per delivered chunk, covering its inputs and
+    // timed from the oldest input's submit to the closure.
+    ASSERT_EQ(closes.size(), wide.deliveries.size());
+    std::sort(closes.begin(), closes.end(),
+              [](const Span &a, const Span &b) { return a.chunk < b.chunk; });
+    for (std::size_t c = 0; c < closes.size(); ++c) {
+        const Delivery &d = wide.deliveries[c];
+        EXPECT_EQ(closes[c].chunk, static_cast<std::int64_t>(d.chunkIndex));
+        EXPECT_EQ(closes[c].firstInput,
+                  static_cast<std::int64_t>(d.firstInput));
+        EXPECT_EQ(closes[c].inputCount, d.inputCount);
+        EXPECT_GE(closes[c].startNs, wide.beforeFirstSubmitNs);
+        EXPECT_LE(closes[c].startNs, closes[c].endNs);
+    }
+
+    // Eight times the inputs per chunk, the same spans.
+    const ChunkedRun narrow = serveFourChunks(model, 8);
+    ASSERT_EQ(narrow.aborts, 0u);
+    EXPECT_GT(narrow.spansRecorded, 0u);
+    EXPECT_EQ(wide.spansRecorded, narrow.spansRecorded);
 }
 
 } // namespace

@@ -56,10 +56,12 @@ TEST(JsonEscape, RoundTripsThroughParser)
         std::string("nul\0byte", 8),
         std::string("\b\f\n\r\t"),
         std::string("\x01\x1f\x7f"),
-        std::string("high\xc3\xa9bytes\xff"),
+        std::string("high\xc3\xa9" "bytes\xff"),
     };
     for (const std::string &s : cases) {
-        const std::string wrapped = "\"" + jsonEscape(s) + "\"";
+        std::string wrapped = "\"";
+        wrapped += jsonEscape(s);
+        wrapped += '"';
         EXPECT_EQ(JsonValue::parse(wrapped).asString(), s)
             << "escaped form: " << wrapped;
     }
