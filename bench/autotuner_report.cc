@@ -6,12 +6,15 @@
  * against the shipped tuned configuration.
  */
 
+#include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "autotuner/tuner.h"
 #include "bench/bench_common.h"
 #include "platform/machine.h"
 #include "util/cli.h"
+#include "util/log.h"
 
 using namespace repro;
 using repro::util::formatDouble;
@@ -23,10 +26,11 @@ main(int argc, char **argv)
     const util::Cli cli(argc, argv);
     const auto opt = bench::BenchOptions::parse(argc, argv, 0.25);
     const bench::MetricsScope metrics_scope(opt);
-    const std::size_t budget =
-        static_cast<std::size_t>(cli.getInt("budget", 120));
-    const std::size_t eval_threads =
-        static_cast<std::size_t>(cli.getInt("eval-threads", 1));
+    const std::int64_t budget_flag = cli.getInt("budget", 120);
+    if (budget_flag < 1)
+        util::fatal("--budget must be at least 1, got " +
+                    std::to_string(budget_flag));
+    const auto budget = static_cast<std::size_t>(budget_flag);
     const core::Engine engine;
     const auto machine = platform::MachineModel::haswell(28);
 
@@ -39,7 +43,6 @@ main(int argc, char **argv)
         autotuner::Tuner::Options topt;
         topt.budget = budget;
         topt.profileSeed = opt.seed;
-        topt.evalThreads = eval_threads; // same result at any value
         const autotuner::Tuner tuner(topt);
         auto strategy = autotuner::makeHillClimb();
         const auto result = tuner.tune(objective, space, *strategy);

@@ -11,14 +11,17 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "autotuner/tuner.h"
 #include "core/engine.h"
 #include "platform/machine.h"
 #include "util/cli.h"
+#include "util/log.h"
 #include "workloads/workload.h"
 
 using namespace repro;
@@ -134,8 +137,11 @@ int
 main(int argc, char **argv)
 {
     const util::Cli cli(argc, argv);
-    const std::size_t budget =
-        static_cast<std::size_t>(cli.getInt("budget", 80));
+    const std::int64_t budget_flag = cli.getInt("budget", 80);
+    if (budget_flag < 1)
+        util::fatal("--budget must be at least 1, got " +
+                    std::to_string(budget_flag));
+    const auto budget = static_cast<std::size_t>(budget_flag);
 
     const AnnealerWorkload workload;
     const core::Engine engine;

@@ -1,14 +1,11 @@
 #include "autotuner/tuner.h"
 
 #include <algorithm>
-#include <chrono>
-#include <future>
-#include <map>
+#include <set>
 
 #include "metrics/metrics.h"
 #include "platform/des.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
 
 namespace repro::autotuner {
 
@@ -20,11 +17,8 @@ namespace {
 /** Always-on tuner telemetry (metrics/metrics.h). */
 struct TunerMetrics
 {
-    metrics::Counter &evaluated;    //!< Objective::evaluate calls.
-    metrics::Counter &cacheHits;    //!< Proposals answered from cache.
-    metrics::Counter &specLaunched; //!< Speculative evaluations started.
-    metrics::Counter &specHits;     //!< Proposals served speculatively.
-    metrics::Counter &specMisses;   //!< Proposals the pipeline missed.
+    metrics::Counter &evaluated; //!< Objective::evaluate calls.
+    metrics::Counter &cacheHits; //!< Re-proposals of profiled configs.
     metrics::LatencyHistogram &evaluateSeconds;
 };
 
@@ -34,9 +28,6 @@ tunerMetrics()
     auto &reg = metrics::MetricsRegistry::global();
     static TunerMetrics m{reg.counter("tuner.configs_evaluated"),
                           reg.counter("tuner.cache_hits"),
-                          reg.counter("tuner.speculations_launched"),
-                          reg.counter("tuner.speculation_hits"),
-                          reg.counter("tuner.speculation_misses"),
                           reg.histogram("tuner.evaluate_seconds")};
     return m;
 }
@@ -122,33 +113,7 @@ neighbor(const DesignSpace &space, Coords c, util::Rng &rng)
     return c;
 }
 
-/** Every on-grid +/-1 single-coordinate neighbor of @p center. */
-std::vector<std::size_t>
-allGridNeighbors(const DesignSpace &space, const Coords &center)
-{
-    const std::size_t dims[4] = {
-        space.chunkOptions.size(), space.windowOptions.size(),
-        space.origStateOptions.size(), space.innerTlpOptions.size()};
-    const std::size_t vals[4] = {center.ci, center.wi, center.ri,
-                                 center.ti};
-    std::vector<std::size_t> out;
-    for (int d = 0; d < 4; ++d) {
-        for (int step : {-1, +1}) {
-            if (step < 0 && vals[d] == 0)
-                continue;
-            if (step > 0 && vals[d] + 1 >= dims[d])
-                continue;
-            Coords c = center;
-            std::size_t *fields[4] = {&c.ci, &c.wi, &c.ri, &c.ti};
-            *fields[d] = vals[d] + static_cast<std::size_t>(step);
-            out.push_back(indexOf(space, c));
-        }
-    }
-    return out;
-}
-
-/** Index of the minimum-cycles entry, front-first on ties — the exact
- *  incumbent rule HillClimb::propose applies. */
+/** Index of the minimum-cycles entry, front-first on ties. */
 std::size_t
 bestOfHistory(const std::vector<std::pair<std::size_t, Evaluation>> &history)
 {
@@ -175,22 +140,6 @@ class RandomSearch final : public SearchStrategy
     {
         return rng.uniformInt(space.size());
     }
-
-    /** Exact lookahead: proposals ignore the history, so replaying a
-     *  copy of the rng predicts the next @p width proposals
-     *  perfectly. */
-    std::vector<std::size_t>
-    speculate(const DesignSpace &space,
-              const std::vector<std::pair<std::size_t, Evaluation>> &,
-              const util::Rng &rng, std::size_t width) const override
-    {
-        util::Rng replay = rng;
-        std::vector<std::size_t> out;
-        out.reserve(width);
-        for (std::size_t i = 0; i < width; ++i)
-            out.push_back(replay.uniformInt(space.size()));
-        return out;
-    }
 };
 
 class HillClimb final : public SearchStrategy
@@ -211,41 +160,6 @@ class HillClimb final : public SearchStrategy
         return indexOf(
             space,
             neighbor(space, coordsOf(space, bestOfHistory(history)), rng));
-    }
-
-    /** Replays the next @p width proposals on an rng copy assuming the
-     *  incumbent best does not change, then adds every grid neighbor
-     *  of the incumbent (any non-restart proposal is one of them even
-     *  after the incumbent moves by a step). */
-    std::vector<std::size_t>
-    speculate(const DesignSpace &space,
-              const std::vector<std::pair<std::size_t, Evaluation>> &history,
-              const util::Rng &rng, std::size_t width) const override
-    {
-        util::Rng replay = rng;
-        std::vector<std::size_t> out;
-        bool empty = history.empty();
-        const std::size_t incumbent =
-            empty ? 0 : bestOfHistory(history);
-        for (std::size_t i = 0; i < width; ++i) {
-            // Mirrors propose() draw for draw, including the
-            // short-circuit that skips the bernoulli when the history
-            // is empty.
-            if (empty || replay.bernoulli(0.1)) {
-                out.push_back(replay.uniformInt(space.size()));
-            } else {
-                out.push_back(indexOf(
-                    space,
-                    neighbor(space, coordsOf(space, incumbent), replay)));
-            }
-            empty = false;
-        }
-        if (!history.empty()) {
-            for (std::size_t n :
-                 allGridNeighbors(space, coordsOf(space, incumbent)))
-                out.push_back(n);
-        }
-        return out;
     }
 };
 
@@ -295,170 +209,18 @@ class Evolutionary final : public SearchStrategy
         return indexOf(space, child);
     }
 
-    /** Breeds the next @p width offspring on an rng copy, treating
-     *  not-yet-profiled offspring as infinitely slow (they join the
-     *  simulated history so tournament draw counts line up with the
-     *  real propose() stream, but they never win a tournament). */
-    std::vector<std::size_t>
-    speculate(const DesignSpace &space,
-              const std::vector<std::pair<std::size_t, Evaluation>> &history,
-              const util::Rng &rng, std::size_t width) const override
-    {
-        util::Rng replay = rng;
-        std::vector<std::pair<std::size_t, double>> sim;
-        sim.reserve(history.size() + width);
-        for (const auto &[index, eval] : history)
-            sim.emplace_back(index, eval.cycles);
-
-        std::vector<std::size_t> out;
-        out.reserve(width);
-        for (std::size_t i = 0; i < width; ++i) {
-            std::size_t idx;
-            if (sim.size() < population_) {
-                idx = replay.uniformInt(space.size());
-            } else {
-                auto tournament = [&]() {
-                    std::size_t best =
-                        sim[replay.uniformInt(sim.size())].first;
-                    double best_cycles =
-                        std::numeric_limits<double>::infinity();
-                    for (int round = 0; round < 3; ++round) {
-                        const auto &[index, cycles] =
-                            sim[replay.uniformInt(sim.size())];
-                        if (cycles < best_cycles) {
-                            best_cycles = cycles;
-                            best = index;
-                        }
-                    }
-                    return best;
-                };
-                const Coords a = coordsOf(space, tournament());
-                const Coords b = coordsOf(space, tournament());
-                Coords child;
-                child.ci = replay.bernoulli(0.5) ? a.ci : b.ci;
-                child.wi = replay.bernoulli(0.5) ? a.wi : b.wi;
-                child.ri = replay.bernoulli(0.5) ? a.ri : b.ri;
-                child.ti = replay.bernoulli(0.5) ? a.ti : b.ti;
-                if (replay.bernoulli(0.4))
-                    child = neighbor(space, child, replay);
-                idx = indexOf(space, child);
-            }
-            out.push_back(idx);
-            sim.emplace_back(idx,
-                             std::numeric_limits<double>::infinity());
-        }
-        return out;
-    }
-
   private:
     std::size_t population_;
 };
 
-/**
- * Speculative evaluations, keyed by space index.  Workers hand
- * results back through the per-index future (the future/task-queue
- * synchronization is the lock guarding this cache — no tuner state is
- * ever touched off the main thread); the tuning loop blocks on the
- * future only when the strategy actually proposes a speculated point.
- */
-class SpeculationCache
+/** The per-proposal profile stream: a pure function of the space
+ *  index, so a configuration profiles with the same seed whenever the
+ *  search proposes it. */
+std::uint64_t
+profileSeedFor(std::uint64_t profile_seed, std::size_t index)
 {
-  public:
-    SpeculationCache(const Objective &objective, const DesignSpace &space,
-                     util::ThreadPool &pool, std::uint64_t profile_seed,
-                     std::size_t capacity)
-        : objective_(objective), space_(space), pool_(pool),
-          profileSeed_(profile_seed), capacity_(capacity)
-    {
-    }
-
-    ~SpeculationCache()
-    {
-        // Tasks reference *this, the objective, and the space: nothing
-        // may be torn down while a worker is still evaluating.
-        for (auto &[index, future] : inflight_)
-            future.wait();
-    }
-
-    bool
-    has(std::size_t index) const
-    {
-        return ready_.count(index) != 0 || inflight_.count(index) != 0;
-    }
-
-    /** Evaluations still being computed (finished wrong guesses do not
-     *  count against capacity). */
-    std::size_t pending() const { return inflight_.size(); }
-
-    /** Moves finished evaluations out of the in-flight set so stale
-     *  wrong guesses cannot clog the pipeline. */
-    void
-    sweep()
-    {
-        for (auto it = inflight_.begin(); it != inflight_.end();) {
-            if (it->second.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-                ready_.emplace(it->first, it->second.get());
-                it = inflight_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-
-    /** Starts evaluating @p index unless already known or at
-     *  capacity. */
-    void
-    launch(std::size_t index)
-    {
-        if (inflight_.size() >= capacity_ || has(index))
-            return;
-        tunerMetrics().specLaunched.inc();
-        inflight_.emplace(index, pool_.submit([this, index] {
-            Evaluation eval;
-            eval.config = space_.at(index);
-            eval.cycles = objective_.evaluate(
-                eval.config, profileSeedFor(profileSeed_, index));
-            eval.feasible =
-                eval.cycles < std::numeric_limits<double>::infinity();
-            return eval;
-        }));
-    }
-
-    /** Blocks for and removes the speculative evaluation of
-     *  @p index.  @pre has(index). */
-    Evaluation
-    take(std::size_t index)
-    {
-        if (auto it = ready_.find(index); it != ready_.end()) {
-            Evaluation eval = it->second;
-            ready_.erase(it);
-            return eval;
-        }
-        auto it = inflight_.find(index);
-        Evaluation eval = it->second.get();
-        inflight_.erase(it);
-        return eval;
-    }
-
-    /** The per-proposal profile stream: a pure function of the space
-     *  index, so serial and speculative evaluation of the same point
-     *  use the same seed no matter when they run. */
-    static std::uint64_t
-    profileSeedFor(std::uint64_t profile_seed, std::size_t index)
-    {
-        return util::Rng(profile_seed).split(index).seed();
-    }
-
-  private:
-    const Objective &objective_;
-    const DesignSpace &space_;
-    util::ThreadPool &pool_;
-    const std::uint64_t profileSeed_;
-    const std::size_t capacity_;
-    std::map<std::size_t, std::future<Evaluation>> inflight_;
-    std::map<std::size_t, Evaluation> ready_;
-};
+    return util::Rng(profile_seed).split(index).seed();
+}
 
 } // namespace
 
@@ -485,70 +247,31 @@ Tuner::tune(const Objective &objective, const DesignSpace &space,
             SearchStrategy &strategy) const
 {
     REPRO_ASSERT(space.size() > 0, "empty design space");
+    REPRO_ASSERT(options_.budget >= 1, "tuning budget must be positive");
     util::Rng rng(options_.searchSeed);
 
     TuningResult result;
     std::vector<std::pair<std::size_t, Evaluation>> history;
-    std::map<std::size_t, Evaluation> cache;
-
-    const std::size_t eval_threads =
-        std::max<std::size_t>(options_.evalThreads, 1);
-    std::unique_ptr<SpeculationCache> spec;
-    if (eval_threads > 1) {
-        util::ThreadPool &pool =
-            options_.pool ? *options_.pool : util::ThreadPool::global();
-        spec = std::make_unique<SpeculationCache>(
-            objective, space, pool, options_.profileSeed,
-            /*capacity=*/eval_threads * 2);
-    }
+    std::set<std::size_t> profiled;
 
     // Proposals are capped well above budget so a strategy that keeps
-    // re-proposing cached points still terminates.
+    // re-proposing profiled points still terminates.
     const std::size_t max_proposals = options_.budget * 20 + 100;
     for (std::size_t p = 0;
          p < max_proposals && result.evaluated < options_.budget; ++p) {
-        if (spec) {
-            spec->sweep();
-            if (spec->pending() < eval_threads) {
-                // Top up the speculation pipeline before consuming rng
-                // draws: speculate() sees exactly the state propose()
-                // is about to see.
-                for (std::size_t candidate :
-                     strategy.speculate(space, history, rng,
-                                        eval_threads * 2)) {
-                    REPRO_ASSERT(
-                        candidate < space.size(),
-                        "strategy speculated an out-of-space index");
-                    if (!cache.count(candidate))
-                        spec->launch(candidate);
-                }
-            }
-        }
-
         const std::size_t index = strategy.propose(space, history, rng);
         REPRO_ASSERT(index < space.size(),
                      "strategy proposed an out-of-space index");
-        if (cache.count(index)) {
+        if (!profiled.insert(index).second) {
             tunerMetrics().cacheHits.inc();
             continue;
         }
 
         Evaluation eval;
-        if (spec && spec->has(index)) {
-            tunerMetrics().specHits.inc();
-            eval = spec->take(index);
-        } else {
-            if (spec)
-                tunerMetrics().specMisses.inc();
-            eval.config = space.at(index);
-            eval.cycles = objective.evaluate(
-                eval.config,
-                SpeculationCache::profileSeedFor(options_.profileSeed,
-                                                 index));
-            eval.feasible =
-                eval.cycles < std::numeric_limits<double>::infinity();
-        }
-        cache.emplace(index, eval);
+        eval.config = space.at(index);
+        eval.cycles = objective.evaluate(
+            eval.config, profileSeedFor(options_.profileSeed, index));
+        eval.feasible = eval.cycles < std::numeric_limits<double>::infinity();
         history.emplace_back(index, eval);
         result.history.push_back(eval);
         ++result.evaluated;

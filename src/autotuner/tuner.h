@@ -26,10 +26,6 @@
 #include "platform/machine.h"
 #include "workloads/workload.h"
 
-namespace repro::util {
-class ThreadPool;
-}
-
 namespace repro::autotuner {
 
 /**
@@ -95,33 +91,6 @@ class SearchStrategy
     propose(const core::DesignSpace &space,
             const std::vector<std::pair<std::size_t, Evaluation>> &history,
             util::Rng &rng) = 0;
-
-    /**
-     * Indices the strategy is likely to propose next, in likely
-     * proposal order — the parallel tuner profiles them speculatively
-     * ahead of the serial propose() stream.
-     *
-     * Must not consume @p rng (strategies copy it to replay their own
-     * future draws, which is what makes random search's speculation
-     * exact).  Guesses need not be right: a wrong guess only wastes a
-     * worker evaluation, it can never change the tuning result,
-     * because propose() remains the sole authority on what enters the
-     * history.  The default speculates nothing (purely serial
-     * behavior).
-     *
-     * @param width How many upcoming proposals to cover.
-     */
-    virtual std::vector<std::size_t>
-    speculate(const core::DesignSpace &space,
-              const std::vector<std::pair<std::size_t, Evaluation>> &history,
-              const util::Rng &rng, std::size_t width) const
-    {
-        (void)space;
-        (void)history;
-        (void)rng;
-        (void)width;
-        return {};
-    }
 };
 
 /** Uniform random sampling of the space. */
@@ -150,14 +119,6 @@ class Tuner
                                         //!< Rng(profileSeed).split(index),
                                         //!< so an evaluation does not
                                         //!< depend on *when* it runs.
-        /** Worker threads evaluating speculative proposals (1 =
-         *  serial).  Any value produces a bit-identical TuningResult:
-         *  parallelism only changes which evaluations are computed
-         *  ahead of time, never which proposals commit. */
-        std::size_t evalThreads = 1;
-        /** Pool to evaluate on; nullptr selects ThreadPool::global()
-         *  when evalThreads > 1. */
-        util::ThreadPool *pool = nullptr;
     };
 
     explicit Tuner(Options options) : options_(options) {}
@@ -165,14 +126,10 @@ class Tuner
 
     /**
      * Profiles up to Options::budget configurations of @p space with
-     * @p strategy and returns the best.  Repeated proposals are served
-     * from a cache and do not consume budget.
+     * @p strategy and returns the best.  A configuration proposed
+     * again is not profiled again and does not consume budget.
      *
-     * With Options::evalThreads > 1, proposals predicted by
-     * SearchStrategy::speculate() are profiled ahead of time on a
-     * thread pool while the proposal stream itself stays serial, so
-     * the TuningResult (best, history order, evaluated count) is
-     * bit-identical to the serial tuner's for any strategy.
+     * @pre Options::budget >= 1.
      */
     TuningResult tune(const Objective &objective,
                       const core::DesignSpace &space,

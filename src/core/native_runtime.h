@@ -5,8 +5,8 @@
  *
  * The engine (engine.h) executes the STATS model logically and hands
  * timing to the platform simulator — that is what every figure uses,
- * because this host machine has one core (DESIGN.md §2).  NativeRuntime
- * executes the same protocol with real threads.  Every protocol step —
+ * because the paper's machine has 28 cores (DESIGN.md §2).
+ * NativeRuntime executes the same protocol with real threads.  Every protocol step —
  * alternative producer, speculative body split at its snapshot,
  * replica regeneration, the ordered commit check, commit, abort and
  * re-execution — is core::StatsProtocol's (core/stats_protocol.h);
@@ -14,9 +14,8 @@
  * whose boundaries n*c/C are known up front.
  *
  * The schedule is a dependency graph on util::TaskGraphExecutor over
- * the process-wide util::ThreadPool (shared with the autotuner and the
- * serving runtime; max_threads caps how many pool executors a run
- * occupies).  Each chunk is two nodes split at its snapshot (head,
+ * the process-wide util::ThreadPool (shared with the serving runtime;
+ * max_threads caps how many pool executors a run occupies).  Each chunk is two nodes split at its snapshot (head,
  * tail); boundary c's R-1 replicas launch eagerly from chunk c's
  * speculative snapshot as soon as the head finished, while later
  * chunk bodies still run; and boundary c resolves in a chain node

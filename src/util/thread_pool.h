@@ -2,16 +2,17 @@
  * @file
  * Reusable fixed-size worker pool.
  *
- * Both hot parallel paths of the reproduction — the autotuner's
- * speculative design-point evaluation (autotuner/tuner.h) and the
- * native STATS runtime's chunk/replica workers
- * (core/native_runtime.h) — run on one shared pool instead of
+ * The native STATS runtime's task graph (core/native_runtime.h,
+ * util/task_graph_executor.h), the protocol's replica fan-out
+ * (core/stats_protocol.h) and the serving strands
+ * (serving/serving_runtime.h) run on one shared pool instead of
  * spawning and joining std::thread per round.  Persistent workers
  * amortize thread creation the same way speculative-multithreading
  * runtimes keep their worker set alive across speculation rounds.
  *
  * Two usage styles:
- *  - submit(fn): enqueue one task, get a std::future of its result.
+ *  - detach(fn): enqueue one fire-and-forget task; the caller
+ *    synchronizes through its own state.
  *  - parallelFor(n, body, cap): run body(0..n-1) cooperatively.  The
  *    calling thread always participates, so a parallelFor issued from
  *    inside a pool task (or on a pool whose workers are all busy)
@@ -20,10 +21,10 @@
  *
  * Observability: the pool.* metric family (metrics/metrics.h) counts
  * what the pool did — pool.tasks_executed ticks once per task a worker
- * dequeues (one submit() or detach() task, or one helper batch of a
- * parallelFor; iterations the caller drains are not pool tasks).
- * Where the time went is the business of the spans the tasks
- * themselves emit (obs/span_recorder.h).
+ * dequeues (one detach() task, or one helper batch of a parallelFor;
+ * iterations the caller drains are not pool tasks).  Where the time
+ * went is the business of the spans the tasks themselves emit
+ * (obs/span_recorder.h).
  */
 
 #ifndef REPRO_UTIL_THREAD_POOL_H
@@ -33,11 +34,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace repro::util {
@@ -65,7 +63,7 @@ class ThreadPool
      * Stops the pool: pending tasks still run, then the workers join.
      * Idempotent (the destructor calls it), but not safe to race with
      * another stop() call.  A stopped pool stays usable in degraded
-     * form: submit() runs the task inline on the calling thread, and
+     * form: detach() runs the task inline on the calling thread, and
      * parallelFor() executes caller-only — late submissions during
      * static destruction of the global pool degrade instead of
      * crashing.
@@ -94,26 +92,6 @@ class ThreadPool
     }
 
     /**
-     * Enqueues @p fn and returns a future of its result.  The task may
-     * run on any worker; exceptions propagate through the future.  On
-     * a stopped (or stopping) pool the task runs inline on the
-     * calling thread before submit returns — the future is still
-     * valid.
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> future = task->get_future();
-        if (!enqueue([task] { (*task)(); }))
-            (*task)(); // Pool stopping: degrade to caller execution.
-        return future;
-    }
-
-    /**
      * Runs @p body(i) for every i in [0, n), spreading iterations over
      * at most @p max_concurrency concurrent executors (the caller plus
      * helper workers; 0 = caller plus every worker).  Blocks until the
@@ -125,10 +103,9 @@ class ThreadPool
      *
      * Iterations are claimed dynamically from a shared counter in
      * grains of @p grain consecutive indices (0 picks an automatic
-     * grain: ~8 grains per executor, so cheap bodies — the tuner's
-     * per-design-point probes, the executor's ready checks — do not
-     * serialize on the claim counter, while small loops keep grain 1
-     * for balance).  The iteration-to-thread mapping is therefore not
+     * grain: ~8 grains per executor, so cheap bodies do not serialize
+     * on the claim counter, while small loops keep grain 1 for
+     * balance).  The iteration-to-thread mapping is therefore not
      * deterministic — bodies must be independent (they are in all call
      * sites: per-chunk and per-replica work write disjoint slots).
      *
@@ -141,8 +118,9 @@ class ThreadPool
                      unsigned max_concurrency = 0, std::size_t grain = 0);
 
     /**
-     * The process-wide pool shared by the autotuner and the native
-     * runtime, sized defaultThreadCount(0).  Created on first use.
+     * The process-wide pool shared by the native runtime and the
+     * serving layer, sized defaultThreadCount(0).  Created on first
+     * use.
      */
     static ThreadPool &global();
 

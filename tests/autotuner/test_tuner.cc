@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "autotuner/tuner.h"
 #include "platform/machine.h"
+#include "util/rng.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -156,6 +158,54 @@ TEST(Tuner, Deterministic)
     const TuningResult b = tuner.tune(obj, w->designSpace(14), *s2);
     EXPECT_DOUBLE_EQ(a.best.cycles, b.best.cycles);
     EXPECT_EQ(a.evaluated, b.evaluated);
+}
+
+TEST(Tuner, ZeroBudgetDies)
+{
+    const Engine engine;
+    const auto w = makeWorkload("streamclassifier", kScale);
+    const Objective obj(*w, engine, MachineModel::haswell(14));
+    const auto space = w->designSpace(14);
+    Tuner::Options opt;
+    opt.budget = 0;
+    const Tuner tuner(opt);
+    auto strategy = repro::autotuner::makeRandomSearch();
+    EXPECT_DEATH(tuner.tune(obj, space, *strategy),
+                 "budget must be positive");
+}
+
+TEST(Tuner, EachProposalProfilesWithItsIndexStream)
+{
+    // A proposal's profile seed is Rng(profileSeed).split(index) of
+    // its design-space index, whatever the strategy and whenever the
+    // search proposes it; every history entry is a distinct index.
+    const Engine engine;
+    const auto w = makeWorkload("streamclassifier", kScale);
+    const Objective obj(*w, engine, MachineModel::haswell(14));
+    const auto space = w->designSpace(14);
+    Tuner::Options opt;
+    opt.budget = 20;
+    const Tuner tuner(opt);
+
+    auto random = repro::autotuner::makeRandomSearch();
+    auto climb = repro::autotuner::makeHillClimb();
+    auto evo = repro::autotuner::makeEvolutionary(6);
+    for (auto *strategy : {random.get(), climb.get(), evo.get()}) {
+        const TuningResult r = tuner.tune(obj, space, *strategy);
+        EXPECT_EQ(r.history.size(), r.evaluated) << strategy->name();
+        std::set<std::size_t> seen;
+        for (const auto &eval : r.history) {
+            const std::size_t index = space.indexOf(eval.config);
+            ASSERT_LT(index, space.size()) << strategy->name();
+            EXPECT_TRUE(seen.insert(index).second)
+                << strategy->name() << " profiled index " << index
+                << " twice";
+            const std::uint64_t seed =
+                repro::util::Rng(opt.profileSeed).split(index).seed();
+            EXPECT_EQ(eval.cycles, obj.evaluate(eval.config, seed))
+                << strategy->name() << " index " << index;
+        }
+    }
 }
 
 } // namespace

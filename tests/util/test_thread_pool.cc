@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -28,24 +29,19 @@ TEST(ThreadPool, DefaultThreadCountResolvesZeroOnce)
     EXPECT_GE(ThreadPool::defaultThreadCount(0), 1u);
 }
 
-TEST(ThreadPool, SubmitReturnsFutureResult)
-{
-    ThreadPool pool(2);
-    auto a = pool.submit([] { return 21 * 2; });
-    auto b = pool.submit([] { return std::string("ok"); });
-    EXPECT_EQ(a.get(), 42);
-    EXPECT_EQ(b.get(), "ok");
-}
-
 TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder)
 {
-    ThreadPool pool(1);
+    // Declared before the pool, so they outlive its workers.
     std::vector<int> order;
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 16; ++i)
-        futures.push_back(pool.submit([&order, i] { order.push_back(i); }));
-    for (auto &f : futures)
-        f.get();
+    std::latch done(16);
+    ThreadPool pool(1);
+    for (int i = 0; i < 16; ++i) {
+        pool.detach([&order, &done, i] {
+            order.push_back(i);
+            done.count_down();
+        });
+    }
+    done.wait();
     std::vector<int> expected(16);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(order, expected);
@@ -53,26 +49,21 @@ TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder)
 
 TEST(ThreadPool, ReusableAcrossManySubmitRounds)
 {
-    ThreadPool pool(4);
     std::atomic<int> sum{0};
+    ThreadPool pool(4);
     for (int round = 0; round < 50; ++round) {
-        std::vector<std::future<void>> futures;
-        for (int i = 0; i < 8; ++i)
-            futures.push_back(pool.submit([&sum] { ++sum; }));
-        for (auto &f : futures)
-            f.get();
+        // Each task holds the latch, so it outlives the last
+        // count_down even after wait() returns.
+        auto done = std::make_shared<std::latch>(8);
+        for (int i = 0; i < 8; ++i) {
+            pool.detach([&sum, done] {
+                ++sum;
+                done->count_down();
+            });
+        }
+        done->wait();
     }
     EXPECT_EQ(sum.load(), 50 * 8);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-    // The worker that threw must still be alive for later tasks.
-    EXPECT_EQ(pool.submit([] { return 5; }).get(), 5);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
@@ -210,16 +201,19 @@ TEST(ThreadPool, ParallelForExplicitGrainFailsFast)
 
 TEST(ThreadPool, StopIsIdempotentAndDegradesGracefully)
 {
+    std::atomic<int> ran{0};
     ThreadPool pool(2);
-    EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
-    pool.stop();
+    pool.detach([&ran] { ++ran; });
+    pool.stop(); // Pending tasks still run before the workers join.
+    EXPECT_EQ(ran.load(), 1);
     pool.stop(); // Second stop is a no-op, not a crash.
 
-    // Submitting to a stopped pool runs the task inline on the caller
-    // (instead of asserting, which used to crash during static
-    // destruction of the global pool).
-    auto f = pool.submit([] { return 7; });
-    EXPECT_EQ(f.get(), 7);
+    // Detaching to a stopped pool runs the task inline on the caller
+    // before detach returns (instead of asserting, which used to crash
+    // during static destruction of the global pool).
+    std::thread::id ran_on;
+    pool.detach([&ran_on] { ran_on = std::this_thread::get_id(); });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
 
     // parallelFor on a stopped pool degrades to caller-only execution
     // but still covers every index.
@@ -231,31 +225,31 @@ TEST(ThreadPool, StopIsIdempotentAndDegradesGracefully)
 TEST(ThreadPool, TasksExecutedCountsWorkerTasks)
 {
     // pool.tasks_executed ticks once per task a worker dequeues: every
-    // submit() and every parallelFor helper batch, never the
+    // detach() and every parallelFor helper batch, never the
     // iterations the caller drains itself nor tasks a stopped pool runs
     // inline.
     const repro::metrics::Counter &executed =
         repro::metrics::MetricsRegistry::global().counter(
             "pool.tasks_executed");
+    std::atomic<int> ran{0};
     ThreadPool pool(2);
     const std::uint64_t before = executed.value();
 
     constexpr int kTasks = 8;
-    std::vector<std::future<void>> futures;
     for (int i = 0; i < kTasks; ++i)
-        futures.push_back(pool.submit([] {}));
-    for (auto &f : futures)
-        f.get();
+        pool.detach([&ran] { ++ran; });
     // Caller plus both workers: two helper batches are queued.
     std::atomic<int> hits{0};
     pool.parallelFor(64, [&](std::size_t) { ++hits; });
-    // A helper may still be queued after the caller drained the loop;
-    // joining the workers dequeues it.
+    // Detached tasks and a helper may still be queued after the caller
+    // drained the loop; joining the workers dequeues them.
     pool.stop();
+    EXPECT_EQ(ran.load(), kTasks);
     EXPECT_EQ(hits.load(), 64);
     EXPECT_EQ(executed.value() - before, kTasks + 2u);
 
-    pool.submit([] {}).get(); // Stopped: runs inline, not dequeued.
+    pool.detach([&ran] { ++ran; }); // Stopped: runs inline, not dequeued.
+    EXPECT_EQ(ran.load(), kTasks + 1);
     EXPECT_EQ(executed.value() - before, kTasks + 2u);
 }
 
@@ -278,7 +272,19 @@ TEST(ThreadPool, GlobalPoolIsSharedAndUsable)
     ThreadPool &b = ThreadPool::global();
     EXPECT_EQ(&a, &b);
     EXPECT_GE(a.workerCount(), 1u);
-    EXPECT_EQ(a.submit([] { return 1; }).get(), 1);
+
+    // The global pool runs until exit, so a detached task runs on one
+    // of its workers.  The task holds the latch, so it outlives the
+    // count_down even after wait() returns.
+    auto done = std::make_shared<std::latch>(1);
+    std::thread::id ran_on;
+    a.detach([done, &ran_on] {
+        ran_on = std::this_thread::get_id();
+        done->count_down();
+    });
+    done->wait();
+    EXPECT_NE(ran_on, std::thread::id{});
+    EXPECT_NE(ran_on, std::this_thread::get_id());
 }
 
 } // namespace
