@@ -82,7 +82,7 @@ NativeRuntime::run(const IStateModel &model, const StatsConfig &config,
     const unsigned C = config.numChunks;
     const unsigned replicas = config.numOriginalStates - 1;
 
-    StatsProtocol protocol(model, seed, &pool, maxThreads);
+    StatsProtocol protocol(model, seed);
     std::vector<ChunkRun> chunks;
     chunks.reserve(C);
     for (unsigned c = 0; c < C; ++c)

@@ -15,17 +15,18 @@
  *
  * The schedule is a dependency graph on util::TaskGraphExecutor over
  * the process-wide util::ThreadPool (shared with the serving runtime;
- * max_threads caps how many pool executors a run occupies).  Each chunk is two nodes split at its snapshot (head,
- * tail); boundary c's R-1 replicas launch eagerly from chunk c's
- * speculative snapshot as soon as the head finished, while later
- * chunk bodies still run; and boundary c resolves in a chain node
- * that fires when chunks c and c+1 plus those replicas are ready —
- * never after *all* chunks.  When chunk c was re-executed instead of
- * committed, its eager replicas grew from a snapshot that never became
- * real state: the resolve node regrows them from the re-executed
- * snapshot with the same RNG streams.  Outputs, commits, and aborts are
- * therefore bit-identical to Engine::runStats for any (model, config,
- * seed) — the cross-validation tests in tests/core enforce it.
+ * max_threads caps how many graph nodes a run has in flight).  Each
+ * chunk is two nodes split at its snapshot (head, tail); boundary c's
+ * R-1 replicas launch eagerly from chunk c's speculative snapshot as
+ * soon as the head finished, while later chunk bodies still run; and
+ * boundary c resolves in a chain node that fires when chunks c and c+1
+ * plus those replicas are ready — never after *all* chunks.  When
+ * chunk c was re-executed instead of committed, its eager replicas
+ * grew from a snapshot that never became real state: the resolve node
+ * regrows them, one after another, from the re-executed snapshot with
+ * the same RNG streams.  Outputs, commits, and aborts are therefore
+ * bit-identical to Engine::runStats for any (model, config, seed) —
+ * the cross-validation tests in tests/core enforce it.
  *
  * Every step of run() emits its obs span (session 0), and those spans
  * are the run's measured record: core::measuredTrace

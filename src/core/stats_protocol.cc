@@ -12,7 +12,6 @@
 #include "obs/abort_report.h"
 #include "obs/span_recorder.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
 
 namespace repro::core {
 
@@ -173,18 +172,16 @@ ChunkRun::ChunkRun(unsigned chunk_index, std::size_t first,
 {
 }
 
-StatsProtocol::StatsProtocol(const IStateModel &model, std::uint64_t seed,
-                             util::ThreadPool *pool,
-                             unsigned max_concurrency)
-    : model_(model), base_(seed), pool_(pool),
-      maxConcurrency_(max_concurrency),
-      stateBytes_(model.stateSizeBytes())
+StatsProtocol::StatsProtocol(const IStateModel &model, std::uint64_t seed)
+    : model_(model), base_(seed), stateBytes_(model.stateSizeBytes())
 {
 }
 
 void
 StatsProtocol::speculateHead(ChunkRun &ch) const
 {
+    REPRO_ASSERT(ch.end <= model_.numInputs(),
+                 "chunk runs past the model's input range");
     if (ch.index == 0) {
         ch.working = model_.initialState();
     } else {
@@ -248,16 +245,8 @@ void
 StatsProtocol::regrowReplicas(Replicas &out) const
 {
     const Committed &from = committed_;
-    const auto one = [&](std::size_t rep) {
-        grow(from.chunk, static_cast<unsigned>(rep), *from.snapshot,
-             from.snap, from.end, out);
-    };
-    if (pool_ && out.states.size() > 1) {
-        pool_->parallelFor(out.states.size(), one, maxConcurrency_);
-    } else {
-        for (std::size_t rep = 0; rep < out.states.size(); ++rep)
-            one(rep);
-    }
+    for (unsigned rep = 0; rep < out.states.size(); ++rep)
+        grow(from.chunk, rep, *from.snapshot, from.snap, from.end, out);
 }
 
 void

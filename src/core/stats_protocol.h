@@ -50,7 +50,11 @@
  * the caller follows the data flow — a chunk's tail after its head, a
  * replica after its source snapshot exists — while commitFirst,
  * regrowReplicas and resolve run one at a time in program order (they
- * own the committed products).
+ * own the committed products).  regrowReplicas grows its replicas one
+ * after another on the calling thread: each replays only the chunk's
+ * last K inputs, so a boundary's regrowth is (R-1)*K updates, and each
+ * replica draws from its own stream, so no order could change a
+ * result.
  */
 
 #ifndef REPRO_CORE_STATS_PROTOCOL_H
@@ -66,10 +70,6 @@
 #include "trace/measured_trace.h"
 #include "trace/task.h"
 #include "util/rng.h"
-
-namespace repro::util {
-class ThreadPool;
-} // namespace repro::util
 
 namespace repro::core {
 
@@ -131,13 +131,8 @@ class StatsProtocol
     /**
      * @param model State dependence; must outlive the protocol.
      * @param seed Base seed every stream is split from.
-     * @param pool Pool regrowReplicas fans out on (null = serial;
-     *        results are bit-identical either way).
-     * @param max_concurrency Cap on that fan-out (0 = the pool's).
      */
-    StatsProtocol(const IStateModel &model, std::uint64_t seed,
-                  util::ThreadPool *pool = nullptr,
-                  unsigned max_concurrency = 0);
+    StatsProtocol(const IStateModel &model, std::uint64_t seed);
 
     /** Session id and parent span the following steps' spans carry
      *  (zeroes: batch, recorded as roots). */
@@ -150,7 +145,8 @@ class StatsProtocol
 
     /** Alternative producer (index > 0; chunk 0 starts from the
      *  initial state), body up to the snapshot point, and the snapshot
-     *  clone. */
+     *  clone.  Panics unless the chunk ends within the model's input
+     *  range. */
     void speculateHead(ChunkRun &chunk) const;
 
     /** Body after the snapshot point.  Requires speculateHead. */
@@ -163,8 +159,8 @@ class StatsProtocol
                      Replicas &out) const;
 
     /** Grows every replica of the boundary after the committed chunk
-     *  from the committed snapshot, replacing (and recording as
-     *  wasted) any already in @p out. */
+     *  from the committed snapshot, in order on the calling thread,
+     *  replacing (and recording as wasted) any already in @p out. */
     void regrowReplicas(Replicas &out) const;
 
     /** Commits chunk 0, which is never speculative.  Requires both
@@ -220,8 +216,6 @@ class StatsProtocol
 
     const IStateModel &model_;
     const util::Rng base_;
-    util::ThreadPool *pool_;
-    const unsigned maxConcurrency_;
     const std::size_t stateBytes_;
 
     std::uint64_t session_ = 0;

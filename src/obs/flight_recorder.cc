@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -31,50 +32,6 @@ FlightRecorder::FlightRecorder(Options options)
     (void)flightDumpsCounter();
 }
 
-std::chrono::steady_clock::time_point
-FlightRecorder::now() const
-{
-    return opts_.clock ? opts_.clock()
-                       : std::chrono::steady_clock::now();
-}
-
-std::optional<FlightDumpInfo>
-FlightRecorder::poll()
-{
-    const metrics::MetricsSnapshot cur =
-        metrics::MetricsRegistry::global().snapshot();
-    if (!primed_) {
-        // First poll establishes the window baseline; predicates need
-        // a delta to judge.
-        prev_ = cur;
-        primed_ = true;
-        return std::nullopt;
-    }
-    const metrics::MetricsSnapshot delta = metrics::snapshotDiff(prev_, cur);
-    prev_ = cur;
-    if (triggered_ >= opts_.maxDumps)
-        return std::nullopt;
-
-    std::string reason;
-    if (opts_.watchDwellViolations &&
-        delta.counterValue("adapt.dwell_violations") > 0) {
-        reason = "dwell_violation";
-    } else if (opts_.abortBurst > 0 &&
-               delta.counterValue(opts_.abortCounter) >=
-                   opts_.abortBurst) {
-        reason = "abort_burst";
-    } else if (opts_.latencySloSeconds > 0.0) {
-        const auto window = delta.histogramValue(opts_.latencyHistogram);
-        if (window.count > 0 &&
-            window.quantileSeconds(0.99) > opts_.latencySloSeconds)
-            reason = "latency_slo";
-    }
-    if (reason.empty())
-        return std::nullopt;
-    ++triggered_;
-    return dump(reason);
-}
-
 std::optional<FlightDumpInfo>
 FlightRecorder::dump(const std::string &reason)
 {
@@ -88,7 +45,7 @@ FlightRecorder::dump(const std::string &reason)
     const std::vector<AbortReport> reports = AbortLog::global().recent();
     const std::uint64_t wallNs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            now().time_since_epoch())
+            std::chrono::steady_clock::now().time_since_epoch())
             .count());
 
     FlightDumpInfo info;

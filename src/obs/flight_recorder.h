@@ -1,33 +1,15 @@
 /**
  * @file
- * Anomaly-triggered flight recorder: when a trigger predicate fires,
- * atomically snapshot the span rings, the metrics registry, and the
- * recent AbortReports into one self-contained JSON dump for
- * post-mortem analysis.
- *
- * Triggers are evaluated against the *windowed delta* of the metrics
- * registry between poll() calls, the same primitive the feedback
- * controller consumes:
- *  - e2e latency: the window's p99 of a configured latency histogram
- *    exceeded the SLO;
- *  - abort burst: more than a configured number of aborts landed in
- *    one window;
- *  - dwell violations: the adapt.dwell_violations counter (an
- *    invariant that must stay 0) incremented at all.
- *
- * The clock is injectable so tests drive triggers deterministically
- * with a fake clock; poll() itself is cheap (one registry sweep) and
- * rate-limited by maxDumps so a persistent anomaly cannot fill the
- * disk.  dump() is also callable directly: native_overheads
- * --flight-dir snapshots a run with it, and the serving trace test
- * captures an induced abort storm with it.
+ * Flight recorder: dump() snapshots the span rings, the metrics
+ * registry, and the recent AbortReports into one self-contained JSON
+ * document for post-mortem analysis.  native_overheads --flight-dir
+ * snapshots a run with it, and the serving trace test captures an
+ * induced abort storm with it.
  */
 
 #ifndef REPRO_OBS_FLIGHT_RECORDER_H
 #define REPRO_OBS_FLIGHT_RECORDER_H
 
-#include <chrono>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -41,8 +23,7 @@ namespace repro::obs {
 struct FlightDumpInfo
 {
     std::string path;    //!< File the dump was written to.
-    std::string reason;  //!< Trigger ("latency_slo", "abort_burst",
-                         //!< "dwell_violation", "manual", ...).
+    std::string reason;  //!< Why the caller dumped ("manual", ...).
     std::uint64_t sequence = 0; //!< 0-based dump number.
 };
 
@@ -56,55 +37,21 @@ class FlightRecorder
          *  directory. */
         std::string dir;
 
-        /** Windowed-p99 SLO on @ref latencyHistogram; 0 disables the
-         *  predicate. */
-        double latencySloSeconds = 0.0;
-        std::string latencyHistogram = "serving.e2e_latency_seconds";
-
-        /** Aborts per window that count as a burst; 0 disables. */
-        std::uint64_t abortBurst = 0;
-        std::string abortCounter = "serving.chunks_aborted";
-
-        /** Dump whenever adapt.dwell_violations grows (invariant: it
-         *  never does). */
-        bool watchDwellViolations = true;
-
-        /** Dumps after which triggers stop firing (manual dump()
-         *  still works). */
-        std::size_t maxDumps = 4;
-
-        /** Injectable clock for deterministic trigger tests; null =
-         *  steady clock. */
-        std::function<std::chrono::steady_clock::time_point()> clock;
-
         /** Recorder whose rings the dump snapshots; null = global(). */
         SpanRecorder *recorder = nullptr;
     };
 
     explicit FlightRecorder(Options options);
 
-    /**
-     * One trigger-evaluation window: deltas the registry since the
-     * previous poll and dumps on the first predicate that fires.
-     * Returns the dump written, if any.
-     */
-    std::optional<FlightDumpInfo> poll();
-
-    /** Unconditional dump with @p reason (not counted against
-     *  maxDumps' trigger budget).  Returns nullopt when the file
-     *  cannot be written. */
+    /** Writes dump number dumps() with @p reason.  Returns nullopt
+     *  when the file cannot be written. */
     std::optional<FlightDumpInfo> dump(const std::string &reason);
 
-    /** Dumps written so far (triggered + manual). */
+    /** Dumps written so far. */
     std::uint64_t dumps() const { return dumps_; }
 
   private:
-    std::chrono::steady_clock::time_point now() const;
-
     const Options opts_;
-    metrics::MetricsSnapshot prev_;
-    bool primed_ = false;
-    std::uint64_t triggered_ = 0;
     std::uint64_t dumps_ = 0;
 };
 

@@ -56,6 +56,26 @@ struct InputToken
     std::uint64_t index = 0; //!< Stream index of the input.
 };
 
+/** The knobs a session starts with. */
+SessionTuning
+initialTuning(const SessionConfig &cfg)
+{
+    return {cfg.chunkInputs, cfg.stats.altWindowK,
+            cfg.stats.numOriginalStates};
+}
+
+/** The knob checks admit() and retune() share. */
+void
+checkTuning(const SessionTuning &tuning)
+{
+    REPRO_ASSERT(tuning.chunkInputs >= 1,
+                 "session tuning needs chunkInputs >= 1");
+    REPRO_ASSERT(tuning.altWindowK >= 1,
+                 "session tuning needs altWindowK >= 1");
+    REPRO_ASSERT(tuning.numOriginalStates >= 1,
+                 "session tuning needs numOriginalStates >= 1");
+}
+
 ServingMetrics &
 servingMetrics()
 {
@@ -98,12 +118,9 @@ struct Session
             std::function<TimePoint()> clk)
         : id(sid), cfg(std::move(c)), numInputs(m.numInputs()),
           clock(std::move(clk)),
-          pipeline(m, cfg.stats, cfg.seed, &util::ThreadPool::global()),
+          active(initialTuning(cfg)), pipeline(m, cfg.stats, cfg.seed),
           ring(cfg.queueCapacity)
     {
-        active.chunkInputs = cfg.chunkInputs;
-        active.altWindowK = cfg.stats.altWindowK;
-        active.numOriginalStates = cfg.stats.numOriginalStates;
     }
 
     TimePoint
@@ -409,8 +426,7 @@ ServingRuntime::now() const
 SessionId
 ServingRuntime::admit(const core::IStateModel &model, SessionConfig config)
 {
-    REPRO_ASSERT(config.chunkInputs >= 1,
-                 "session chunk size must be >= 1");
+    checkTuning(initialTuning(config));
     REPRO_ASSERT(config.queueCapacity >= 1,
                  "session queue capacity must be >= 1");
     std::shared_ptr<detail::Session> s;
@@ -531,11 +547,7 @@ ServingRuntime::evict(SessionId id)
 bool
 ServingRuntime::retune(SessionId id, const SessionTuning &tuning)
 {
-    REPRO_ASSERT(tuning.chunkInputs >= 1,
-                 "retune needs chunkInputs >= 1");
-    REPRO_ASSERT(tuning.altWindowK >= 1, "retune needs altWindowK >= 1");
-    REPRO_ASSERT(tuning.numOriginalStates >= 1,
-                 "retune needs numOriginalStates >= 1");
+    checkTuning(tuning);
     const std::shared_ptr<detail::Session> s = find(id);
     if (!s)
         return false;

@@ -210,7 +210,9 @@ class ServingRuntime
     ServingRuntime &operator=(const ServingRuntime &) = delete;
 
     /**
-     * Admits a new session over @p model.
+     * Admits a new session over @p model.  Panics on a knob that
+     * retune() would reject (chunkInputs, altWindowK or
+     * numOriginalStates of 0) and on a queueCapacity of 0.
      * @param model Must outlive the session (shared by reference; a
      *        model may back many concurrent sessions).
      * @return Handle for submit/drain/evict.
@@ -265,6 +267,7 @@ class ServingRuntime
      * numOriginalStates ride along with each closed chunk so the
      * strand reconfigures the pipeline for exactly the chunks closed
      * under them — the protocol never sees a mid-chunk change.
+     * Every knob must be >= 1.
      * @return false for unknown sessions.
      */
     bool retune(SessionId id, const SessionTuning &tuning);

@@ -6,13 +6,23 @@
 
 namespace repro::serving {
 
-SessionPipeline::SessionPipeline(const core::IStateModel &model,
-                                 Config config, std::uint64_t seed,
-                                 util::ThreadPool *pool)
-    : cfg_(config), protocol_(model, seed, pool)
+namespace {
+
+void
+checkConfig(const SessionPipeline::Config &config)
 {
-    REPRO_ASSERT(cfg_.numOriginalStates >= 1,
+    REPRO_ASSERT(config.altWindowK >= 1, "session needs altWindowK >= 1");
+    REPRO_ASSERT(config.numOriginalStates >= 1,
                  "session needs numOriginalStates >= 1");
+}
+
+} // namespace
+
+SessionPipeline::SessionPipeline(const core::IStateModel &model,
+                                 Config config, std::uint64_t seed)
+    : cfg_(config), protocol_(model, seed)
+{
+    checkConfig(cfg_);
 }
 
 SessionPipeline::ChunkResult
@@ -46,8 +56,7 @@ SessionPipeline::processChunk(std::size_t count)
 void
 SessionPipeline::reconfigure(Config config)
 {
-    REPRO_ASSERT(config.numOriginalStates >= 1,
-                 "session needs numOriginalStates >= 1");
+    checkConfig(config);
     cfg_ = config;
 }
 

@@ -34,11 +34,9 @@
  *
  * Threading: a pipeline instance is single-strand — the serving
  * runtime guarantees at most one processChunk() call is in flight per
- * session.  Replica regeneration inside a call may fan out on the
- * shared ThreadPool (replicas are independent and write disjoint
- * slots; the commit check that consumes them stays sequential), which
- * is the only intra-session parallelism — cross-session parallelism
- * is the serving runtime's job.
+ * session, and every step of a call, replica regeneration included,
+ * runs on the calling thread.  Parallelism comes from running many
+ * sessions at once, which is the serving runtime's job.
  */
 
 #ifndef REPRO_SERVING_SESSION_PIPELINE_H
@@ -63,7 +61,8 @@ class SessionPipeline
     struct Config
     {
         /** Inputs the alternative producer replays before a chunk
-         *  (clamped to the stream start for very early chunks). */
+         *  (>= 1; clamped to the stream start for very early
+         *  chunks). */
         unsigned altWindowK = 2;
 
         /** Original states per boundary including the chunk's own
@@ -86,18 +85,15 @@ class SessionPipeline
      * @param config STATS parameters of this session.
      * @param seed Base seed — the same value an equivalent batch
      *        NativeRuntime::run would be given.
-     * @param pool Optional pool for replica fan-out (null = serial;
-     *        results are bit-identical either way).
      */
     SessionPipeline(const core::IStateModel &model, Config config,
-                    std::uint64_t seed,
-                    util::ThreadPool *pool = nullptr);
+                    std::uint64_t seed);
 
     /**
      * Runs the protocol over the next @p count inputs of the stream
      * (indices [nextInput(), nextInput() + count)) as one closed
-     * chunk.  @pre count >= 1 and the chunk stays within the model's
-     * input range.
+     * chunk.  Panics unless count >= 1 and the chunk stays within
+     * the model's input range.
      */
     ChunkResult processChunk(std::size_t count);
 

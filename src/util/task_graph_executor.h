@@ -2,13 +2,12 @@
  * @file
  * Dependency-driven continuations on the shared ThreadPool.
  *
- * ThreadPool::parallelFor expresses one flat batch with an implicit
- * barrier at the end; the batch schedule of the native STATS runtime
- * (core/native_runtime.h) needs something finer: run
- * this closure as soon as *those* predecessors have finished, with no
- * global join in between.  TaskGraphExecutor provides exactly that —
- * a growable DAG of closures whose ready nodes are dispatched to a
- * ThreadPool the moment their last declared predecessor completes.
+ * The batch schedule of the native STATS runtime
+ * (core/native_runtime.h) runs each closure as soon as *its*
+ * predecessors have finished, with no global join in between.
+ * TaskGraphExecutor provides exactly that — a growable DAG of closures
+ * whose ready nodes are detached to a ThreadPool the moment their
+ * last declared predecessor completes.
  *
  * Model:
  *  - add(fn, deps) declares a node.  Predecessors are named by the
@@ -28,11 +27,10 @@
  *
  * Concurrency: at most max_concurrency node bodies run at once
  * (0 = no executor-side cap beyond the pool's worker count).  Node
- * bodies run on pool workers — the thread calling wait() does not
- * participate — and may themselves call pool.parallelFor (the nested
- * loop's caller participation keeps that deadlock-free).  On a
- * stopped pool, dispatch degrades to inline execution on the thread
- * that made the node ready, so the graph still completes.
+ * bodies run on pool workers; the thread calling wait() does not
+ * participate.  On a stopped pool, dispatch degrades to inline
+ * execution on the thread that made the node ready, so the graph
+ * still completes.
  */
 
 #ifndef REPRO_UTIL_TASK_GRAPH_EXECUTOR_H

@@ -3,35 +3,27 @@
  * Reusable fixed-size worker pool.
  *
  * The native STATS runtime's task graph (core/native_runtime.h,
- * util/task_graph_executor.h), the protocol's replica fan-out
- * (core/stats_protocol.h) and the serving strands
+ * util/task_graph_executor.h) and the serving strands
  * (serving/serving_runtime.h) run on one shared pool instead of
  * spawning and joining std::thread per round.  Persistent workers
  * amortize thread creation the same way speculative-multithreading
  * runtimes keep their worker set alive across speculation rounds.
  *
- * Two usage styles:
- *  - detach(fn): enqueue one fire-and-forget task; the caller
- *    synchronizes through its own state.
- *  - parallelFor(n, body, cap): run body(0..n-1) cooperatively.  The
- *    calling thread always participates, so a parallelFor issued from
- *    inside a pool task (or on a pool whose workers are all busy)
- *    still completes — it never deadlocks waiting for a free worker,
- *    it just degrades toward caller-only execution.
+ * The pool has one way to run work: detach(fn) enqueues one
+ * fire-and-forget task, and the caller synchronizes through its own
+ * state.
  *
  * Observability: the pool.* metric family (metrics/metrics.h) counts
  * what the pool did — pool.tasks_executed ticks once per task a worker
- * dequeues (one detach() task, or one helper batch of a parallelFor;
- * iterations the caller drains are not pool tasks).  Where the time
- * went is the business of the spans the tasks themselves emit
- * (obs/span_recorder.h).
+ * dequeues (tasks a stopped pool runs inline are not counted).  Where
+ * the time went is the business of the spans the tasks themselves
+ * emit (obs/span_recorder.h).
  */
 
 #ifndef REPRO_UTIL_THREAD_POOL_H
 #define REPRO_UTIL_THREAD_POOL_H
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -63,15 +55,13 @@ class ThreadPool
      * Stops the pool: pending tasks still run, then the workers join.
      * Idempotent (the destructor calls it), but not safe to race with
      * another stop() call.  A stopped pool stays usable in degraded
-     * form: detach() runs the task inline on the calling thread, and
-     * parallelFor() executes caller-only — late submissions during
-     * static destruction of the global pool degrade instead of
-     * crashing.
+     * form: detach() runs the task inline on the calling thread, so
+     * late submissions during static destruction of the global pool
+     * degrade instead of crashing.
      */
     void stop();
 
-    /** Number of worker threads (excludes callers that participate in
-     *  parallelFor). */
+    /** Number of worker threads. */
     unsigned workerCount() const
     {
         return static_cast<unsigned>(workers_.size());
@@ -90,32 +80,6 @@ class ThreadPool
         if (!enqueue(fn))
             fn();
     }
-
-    /**
-     * Runs @p body(i) for every i in [0, n), spreading iterations over
-     * at most @p max_concurrency concurrent executors (the caller plus
-     * helper workers; 0 = caller plus every worker).  Blocks until the
-     * loop finished.
-     *
-     * Exceptions fail fast: once a body throws, no further grains are
-     * claimed; grains already in flight on other executors still
-     * complete, and the first exception thrown is rethrown here.
-     *
-     * Iterations are claimed dynamically from a shared counter in
-     * grains of @p grain consecutive indices (0 picks an automatic
-     * grain: ~8 grains per executor, so cheap bodies do not serialize
-     * on the claim counter, while small loops keep grain 1 for
-     * balance).  The iteration-to-thread mapping is therefore not
-     * deterministic — bodies must be independent (they are in all call
-     * sites: per-chunk and per-replica work write disjoint slots).
-     *
-     * The time the caller spends blocked at the join, after it ran out
-     * of iterations to claim, feeds the pool.join_wait_seconds
-     * histogram.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body,
-                     unsigned max_concurrency = 0, std::size_t grain = 0);
 
     /**
      * The process-wide pool shared by the native runtime and the

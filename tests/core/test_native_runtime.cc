@@ -8,18 +8,26 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <stdexcept>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/ema_model.h"
 #include "core/native_runtime.h"
 #include "core/stats_protocol.h"
 #include "obs/span_recorder.h"
+#include "util/block_arena.h"
 #include "workloads/workload.h"
 
 namespace {
 
 using repro::core::Engine;
+using repro::core::ExecContext;
+using repro::core::IStateModel;
 using repro::core::NativeRuntime;
+using repro::core::State;
+using repro::core::StateHandle;
 using repro::core::StatsConfig;
 using repro::core::TlpModel;
 using repro::obs::SpanRecorder;
@@ -387,6 +395,111 @@ TEST(NativeRuntime, MatchesEngineAcrossAbortHeavySweep)
     // The sweep must actually be abort-heavy, or it proves nothing
     // about the abort path.
     EXPECT_GT(total_aborts, 10u);
+}
+
+/** The one exception FaultyModel throws. */
+struct InjectedFault : std::runtime_error
+{
+    InjectedFault() : std::runtime_error("injected update fault") {}
+};
+
+/**
+ * Forwards every call to @p inner, but throws InjectedFault once: from
+ * the first update charged to @p kind that replays an input @p kind
+ * already replayed @p prior times.  prior = 0 is the first update of
+ * the kind; OriginalStateGen with prior = R-1 is the first update of a
+ * regrown replica, since the R-1 eager replicas of a boundary always
+ * replay its inputs before the resolve node regrows them.
+ */
+class FaultyModel : public IStateModel
+{
+  public:
+    FaultyModel(const IStateModel &inner, TaskKind kind, unsigned prior)
+        : inner_(inner), kind_(kind), prior_(prior),
+          replays_(inner.numInputs())
+    {
+    }
+
+    std::string name() const override { return inner_.name(); }
+    std::size_t numInputs() const override { return inner_.numInputs(); }
+
+    StateHandle
+    initialState() const override
+    {
+        return inner_.initialState();
+    }
+
+    StateHandle coldState() const override { return inner_.coldState(); }
+
+    double
+    update(State &state, std::size_t input, ExecContext &ctx) const override
+    {
+        if (ctx.kind() == kind_ && replays_[input].fetch_add(1) == prior_ &&
+            !fired_.exchange(true))
+            throw InjectedFault();
+        return inner_.update(state, input, ctx);
+    }
+
+    bool
+    matches(const State &speculative, const State &original) const override
+    {
+        return inner_.matches(speculative, original);
+    }
+
+    std::size_t
+    stateSizeBytes() const override
+    {
+        return inner_.stateSizeBytes();
+    }
+
+  private:
+    const IStateModel &inner_;
+    const TaskKind kind_;
+    const unsigned prior_;
+    mutable std::vector<std::atomic<unsigned>> replays_;
+    mutable std::atomic<bool> fired_{false};
+};
+
+TEST(NativeRuntime, RethrowsUpdateExceptionFromEveryStep)
+{
+    // An update() that throws in any protocol step — the chunk body,
+    // the alternative producer, an eager replica, a re-execution, or a
+    // replica the resolve node regrows after an abort — reaches the
+    // caller of run(), and the run still returns every arena block.
+    const auto workload = repro::workloads::makeWorkload("facetrack", 0.25);
+    const IStateModel &model = workload->model();
+    ASSERT_EQ(model.numInputs(), 150u);
+    const auto config = cfg(32, 2, 3);
+    const NativeRuntime native(4);
+    const auto reference = native.run(model, config, 5);
+    ASSERT_GT(reference.aborts, 0u) << "config must exercise regrowth";
+
+    const std::size_t liveBefore =
+        repro::util::BlockArena::global().liveBlocks();
+    const struct
+    {
+        TaskKind kind;
+        unsigned prior;
+    } faults[] = {{TaskKind::ChunkBody, 0},
+                  {TaskKind::AltProducer, 0},
+                  {TaskKind::OriginalStateGen, 0},
+                  {TaskKind::MispecReExec, 0},
+                  {TaskKind::OriginalStateGen, 2}}; // R-1: regrown.
+    for (const auto &fault : faults) {
+        const FaultyModel faulty(model, fault.kind, fault.prior);
+        EXPECT_THROW(native.run(faulty, config, 5), InjectedFault)
+            << repro::trace::taskKindName(fault.kind) << " prior "
+            << fault.prior;
+        EXPECT_EQ(repro::util::BlockArena::global().liveBlocks(),
+                  liveBefore)
+            << repro::trace::taskKindName(fault.kind) << " prior "
+            << fault.prior;
+    }
+
+    const auto clean = native.run(model, config, 5);
+    EXPECT_EQ(clean.outputs, reference.outputs);
+    EXPECT_EQ(clean.commits, reference.commits);
+    EXPECT_EQ(clean.aborts, reference.aborts);
 }
 
 TEST(NativeRuntimeDeathTest, RequiresStatsTlp)

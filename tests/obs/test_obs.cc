@@ -2,8 +2,7 @@
  * @file
  * Tests of the tracing subsystem (src/obs/): span ring wraparound and
  * drop accounting, cross-thread parent links, the abort causal chain
- * plus its root-cause report, and the flight recorder's trigger
- * predicates driven by a fake clock.
+ * plus its root-cause report, and the flight recorder's dumps.
  */
 
 #include <gtest/gtest.h>
@@ -15,13 +14,11 @@
 #include <vector>
 
 #include "core/ema_model.h"
-#include "metrics/metrics.h"
 #include "obs/abort_report.h"
 #include "obs/flight_recorder.h"
 #include "obs/span_recorder.h"
 #include "serving/session_pipeline.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -138,8 +135,7 @@ TEST(SpanTrace, AbortPathEmitsCausalChainAndReport)
     SessionPipeline::Config pc;
     pc.altWindowK = 2;
     pc.numOriginalStates = 2;
-    SessionPipeline pipeline(model, pc, 5,
-                             &repro::util::ThreadPool::global());
+    SessionPipeline pipeline(model, pc, 5);
     pipeline.setTraceContext(/*session=*/11, /*parentSpan=*/0);
     unsigned aborts = 0;
     std::int64_t abortedChunk = -1;
@@ -197,113 +193,6 @@ TEST(SpanTrace, AbortPathEmitsCausalChainAndReport)
     EXPECT_TRUE(found) << "report's Abort span must be in the trace";
 }
 
-TEST(FlightRecorderTest, AbortBurstTriggerWritesValidDump)
-{
-    const std::string dir =
-        ::testing::TempDir() + "obs_flight_burst_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
-    auto &counter = repro::metrics::MetricsRegistry::global().counter(
-        "test.obs.burst_aborts");
-    SpanRecorder rec(64);
-    Span s = rec.start(SpanKind::Abort, 0, 5, 9);
-    rec.finish(s);
-
-    // Fake clock: triggers must not depend on wall time.
-    auto tick = std::chrono::steady_clock::time_point(
-        std::chrono::seconds(100));
-    FlightRecorder::Options opts;
-    opts.dir = dir;
-    opts.abortBurst = 3;
-    opts.abortCounter = "test.obs.burst_aborts";
-    opts.watchDwellViolations = false;
-    opts.maxDumps = 1;
-    opts.recorder = &rec;
-    opts.clock = [&tick] { return tick; };
-    FlightRecorder recorder(opts);
-
-    // First poll only primes the window baseline.
-    EXPECT_FALSE(recorder.poll().has_value());
-
-    // Below the burst threshold: no dump.
-    counter.inc(2);
-    tick += std::chrono::seconds(1);
-    EXPECT_FALSE(recorder.poll().has_value());
-
-    // A burst lands in one window: dump fires.
-    counter.inc(4);
-    tick += std::chrono::seconds(1);
-    const auto dump = recorder.poll();
-    ASSERT_TRUE(dump.has_value());
-    EXPECT_EQ(dump->reason, "abort_burst");
-    EXPECT_EQ(recorder.dumps(), 1u);
-
-    // The dump is a self-contained, parseable document.
-    const JsonValue doc = JsonValue::parseFile(dump->path);
-    ASSERT_NE(doc.find("schema"), nullptr);
-    EXPECT_EQ(doc.find("schema")->asString(), "repro.flight.v1");
-    EXPECT_EQ(doc.find("reason")->asString(), "abort_burst");
-    ASSERT_NE(doc.find("spans"), nullptr);
-    ASSERT_TRUE(doc.find("spans")->isArray());
-    ASSERT_GE(doc.find("spans")->array().size(), 1u);
-    bool sawAbortSpan = false;
-    for (const JsonValue &span : doc.find("spans")->array()) {
-        if (span.find("kind")->asString() == "abort" &&
-            span.find("session")->asNumber() == 5.0)
-            sawAbortSpan = true;
-    }
-    EXPECT_TRUE(sawAbortSpan);
-    ASSERT_NE(doc.find("metrics"), nullptr);
-    EXPECT_TRUE(doc.find("metrics")->isObject());
-    ASSERT_NE(doc.find("abort_reports"), nullptr);
-    EXPECT_TRUE(doc.find("abort_reports")->isArray());
-
-    // maxDumps reached: another burst no longer triggers.
-    counter.inc(10);
-    tick += std::chrono::seconds(1);
-    EXPECT_FALSE(recorder.poll().has_value());
-    // ... but a manual dump still works and advances the sequence.
-    const auto manual = recorder.dump("manual");
-    ASSERT_TRUE(manual.has_value());
-    EXPECT_EQ(manual->sequence, 1u);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(FlightRecorderTest, LatencySloTriggerUsesWindowQuantile)
-{
-    const std::string dir =
-        ::testing::TempDir() + "obs_flight_slo_test";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
-    auto &hist = repro::metrics::MetricsRegistry::global().histogram(
-        "test.obs.slo_latency_seconds");
-    SpanRecorder rec(16);
-    FlightRecorder::Options opts;
-    opts.dir = dir;
-    opts.latencySloSeconds = 0.5;
-    opts.latencyHistogram = "test.obs.slo_latency_seconds";
-    opts.watchDwellViolations = false;
-    opts.recorder = &rec;
-    FlightRecorder recorder(opts);
-
-    EXPECT_FALSE(recorder.poll().has_value()); // Prime.
-    for (int i = 0; i < 100; ++i)
-        hist.observe(0.01); // Healthy window.
-    EXPECT_FALSE(recorder.poll().has_value());
-    for (int i = 0; i < 100; ++i)
-        hist.observe(2.0); // p99 blows the SLO.
-    const auto dump = recorder.poll();
-    ASSERT_TRUE(dump.has_value());
-    EXPECT_EQ(dump->reason, "latency_slo");
-    const JsonValue doc = JsonValue::parseFile(dump->path);
-    EXPECT_EQ(doc.find("reason")->asString(), "latency_slo");
-
-    std::filesystem::remove_all(dir);
-}
-
 TEST(FlightRecorderTest, DumpCreatesItsDirectory)
 {
     const std::string root =
@@ -320,6 +209,13 @@ TEST(FlightRecorderTest, DumpCreatesItsDirectory)
     EXPECT_EQ(dump->path, opts.dir + "/flight-0.json");
     EXPECT_EQ(JsonValue::parseFile(dump->path).find("reason")->asString(),
               "manual");
+
+    // The next dump takes the next sequence number and file.
+    const auto second = recorder.dump("manual");
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->sequence, 1u);
+    EXPECT_EQ(second->path, opts.dir + "/flight-1.json");
+    EXPECT_EQ(recorder.dumps(), 2u);
 
     // A directory that cannot be made (its parent is a file) still
     // warns and yields no dump.

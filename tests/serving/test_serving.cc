@@ -8,7 +8,8 @@
  * Every deterministic test runs with the background coordinator off
  * and pumps poll() manually against an injected fake clock, so closure
  * traces are exact and repeatable; only the concurrency test uses the
- * real coordinator thread.
+ * real coordinator thread.  Death tests pin the input checks of
+ * admit() and SessionPipeline::processChunk().
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "core/ema_model.h"
 #include "metrics/metrics.h"
 #include "serving/serving_runtime.h"
+#include "serving/session_pipeline.h"
 #include "util/block_arena.h"
 #include "workloads/workload.h"
 
@@ -33,6 +35,7 @@ using repro::serving::ServingOptions;
 using repro::serving::ServingRuntime;
 using repro::serving::SessionConfig;
 using repro::serving::SessionId;
+using repro::serving::SessionPipeline;
 using repro::serving::SubmitStatus;
 using repro::serving::submitStatusName;
 using repro::testing::EmaModel;
@@ -418,6 +421,33 @@ TEST(ServingRuntime, EvictionReturnsEveryArenaBlock)
     EXPECT_EQ(BlockArena::global().liveBlocks(), liveBefore)
         << "eviction must return every block the session held";
     EXPECT_GT(BlockArena::global().freedBlocks(), freedBefore);
+}
+
+TEST(SessionPipelineDeathTest, ChunkPastStreamEndPanics)
+{
+    // A chunk must stay within the model's input range: the protocol
+    // core checks it before any update reads past the input arrays.
+    const auto workload =
+        repro::workloads::makeWorkload("streamclassifier", 0.05);
+    const auto &model = workload->model();
+    SessionPipeline pipeline(model, {}, 7);
+    EXPECT_DEATH(pipeline.processChunk(model.numInputs() + 500),
+                 "chunk runs past the model's input range");
+}
+
+TEST(ServingRuntimeDeathTest, AdmitRejectsZeroLookahead)
+{
+    // admit() applies retune()'s knob checks to the initial tuning: a
+    // session with K = 0 would speculate every chunk from a cold state.
+    EmaModel::Config mc;
+    mc.inputs = 64;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    SessionConfig cfg;
+    cfg.chunkInputs = 16;
+    cfg.stats.altWindowK = 0;
+    EXPECT_DEATH(runtime.admit(model, cfg), "altWindowK >= 1");
 }
 
 } // namespace

@@ -28,7 +28,6 @@
 #include "metrics/metrics.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -184,8 +183,7 @@ TEST(ServingAdapt, MidStreamKRSwapMatchesReconfiguredPipelineOracle)
 
     // Oracle: 4 chunks of 8 at {K=2,R=1}, swap, 4 chunks at
     // {K=5,R=2}.
-    SessionPipeline oracle(model, {2, 1}, seed,
-                           &repro::util::ThreadPool::global());
+    SessionPipeline oracle(model, {2, 1}, seed);
     std::vector<double> expected;
     for (int c = 0; c < 8; ++c) {
         if (c == 4)

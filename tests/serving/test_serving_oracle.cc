@@ -30,7 +30,6 @@
 #include "metrics/metrics.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
-#include "util/thread_pool.h"
 #include "workloads/workload.h"
 
 namespace {
@@ -92,8 +91,7 @@ expectPipelineMatchesBatch(const IStateModel &model,
     SessionPipeline::Config pc;
     pc.altWindowK = config.altWindowK;
     pc.numOriginalStates = config.numOriginalStates;
-    SessionPipeline pipeline(model, pc, seed,
-                             &repro::util::ThreadPool::global());
+    SessionPipeline pipeline(model, pc, seed);
     for (const std::size_t size :
          batchChunkSizes(model.numInputs(), config.numChunks)) {
         const auto chunk = pipeline.processChunk(size);

@@ -164,7 +164,6 @@ TEST(ServingTrace, AbortStormFlightDumpIsSelfContained)
     std::filesystem::remove_all(dir);
     FlightRecorder::Options fo;
     fo.dir = dir;
-    fo.clock = opts.clock;
     FlightRecorder flight(fo);
     const auto dump = flight.dump("manual");
     ASSERT_TRUE(dump.has_value());

@@ -172,23 +172,6 @@ TEST(TaskGraphExecutor, StackExecutorSurvivesBackToBackTeardown)
     EXPECT_EQ(sum.load(), 300000);
 }
 
-TEST(TaskGraphExecutor, NodeBodiesMayUseNestedParallelFor)
-{
-    // The pipelined protocol's boundary nodes call pool.parallelFor
-    // for replica regeneration from inside a node body; that must not
-    // deadlock even when the graph saturates every worker.
-    ThreadPool pool(2);
-    TaskGraphExecutor exec(pool);
-    std::atomic<int> total{0};
-    for (int i = 0; i < 8; ++i) {
-        exec.add([&] {
-            pool.parallelFor(16, [&](std::size_t) { ++total; });
-        });
-    }
-    exec.wait();
-    EXPECT_EQ(total.load(), 8 * 16);
-}
-
 TEST(TaskGraphExecutorDeathTest, ForwardDependencyIsFatal)
 {
     ThreadPool pool(1);
