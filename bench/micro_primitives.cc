@@ -2,8 +2,10 @@
  * @file
  * google-benchmark micro benchmarks for the substrate primitives:
  * RNG throughput, particle-cloud steps, cache-simulator and
- * branch-predictor throughput, discrete-event scheduling, and the
- * state-copy cost model the paper singles out in §V-C.
+ * branch-predictor throughput, discrete-event scheduling, the
+ * state-copy cost model the paper singles out in §V-C, and the
+ * streamclassifier kernel and input generator that both serving
+ * workloads run.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +17,7 @@
 #include "platform/des.h"
 #include "util/rng.h"
 #include "workloads/particle_filter.h"
+#include "workloads/streamclassifier.h"
 #include "workloads/swaptions.h"
 
 using namespace repro;
@@ -42,6 +45,30 @@ BM_RngGaussian(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngGaussian);
+
+void
+BM_RngUniformInt(benchmark::State &state)
+{
+    // n = 2: the streamclassifier generator's label draw.
+    util::Rng rng(1);
+    std::uint64_t acc = 0;
+    for (auto _ : state)
+        acc += rng.uniformInt(2);
+    benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RngUniformInt);
+
+void
+BM_RngBernoulli(benchmark::State &state)
+{
+    // p = 0.7: the streamclassifier kernel's per-point include draw.
+    util::Rng rng(1);
+    std::uint64_t hits = 0;
+    for (auto _ : state)
+        hits += rng.bernoulli(0.7) ? 1 : 0;
+    benchmark::DoNotOptimize(hits);
+}
+BENCHMARK(BM_RngBernoulli);
 
 void
 BM_CacheAccess(benchmark::State &state)
@@ -202,6 +229,37 @@ BM_SwaptionsUpdate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SwaptionsUpdate);
+
+void
+BM_StreamclassifierUpdate(benchmark::State &state)
+{
+    // One update() on a state warmed over the first 100 batches.
+    const workloads::StreamclassifierWorkload w(1.0);
+    const core::IStateModel &model = w.model();
+    auto s = model.initialState();
+    core::ExecContext ctx(util::Rng(7), nullptr,
+                          trace::TaskKind::ChunkBody);
+    std::size_t i = 0;
+    for (; i < 100; ++i)
+        model.update(*s, i, ctx);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            model.update(*s, i++ % model.numInputs(), ctx));
+    }
+}
+BENCHMARK(BM_StreamclassifierUpdate);
+
+void
+BM_StreamclassifierStream(benchmark::State &state)
+{
+    // The input generator: 5,600 batches of 32 labeled points.
+    for (auto _ : state) {
+        const workloads::StreamclassifierWorkload w(10.0);
+        benchmark::DoNotOptimize(w.model().numInputs());
+    }
+    state.SetItemsProcessed(state.iterations() * 5600 * 32);
+}
+BENCHMARK(BM_StreamclassifierStream)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -15,37 +15,11 @@ splitmix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed) : _seed(seed)
 {
     std::uint64_t sm = seed;
     for (auto &word : s)
         word = splitmix64(sm);
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
 }
 
 Rng
@@ -60,70 +34,11 @@ Rng::split(std::uint64_t stream_id) const
 }
 
 double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::uniformInt(std::uint64_t n)
-{
-    REPRO_ASSERT(n > 0, "uniformInt requires n > 0");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit =
-        std::numeric_limits<std::uint64_t>::max() -
-        std::numeric_limits<std::uint64_t>::max() % n;
-    std::uint64_t draw;
-    do {
-        draw = (*this)();
-    } while (draw >= limit);
-    return draw % n;
-}
-
-double
-Rng::gaussian()
-{
-    if (hasSpare) {
-        hasSpare = false;
-        return spare;
-    }
-    double u, v, q;
-    do {
-        u = uniform(-1.0, 1.0);
-        v = uniform(-1.0, 1.0);
-        q = u * u + v * v;
-    } while (q >= 1.0 || q == 0.0);
-    const double f = std::sqrt(-2.0 * std::log(q) / q);
-    spare = v * f;
-    hasSpare = true;
-    return u * f;
-}
-
-double
-Rng::gaussian(double mean, double stddev)
-{
-    return mean + stddev * gaussian();
-}
-
-double
 Rng::exponential(double rate)
 {
     REPRO_ASSERT(rate > 0.0, "exponential requires rate > 0");
     // 1 - uniform() is in (0, 1], so the log argument is never zero.
     return -std::log(1.0 - uniform()) / rate;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 } // namespace repro::util

@@ -13,13 +13,22 @@
  * streams (one per STATS thread, alternative producer, or original-state
  * replica) are derived with split(), which hashes the parent seed with the
  * stream id so sibling streams are statistically uncorrelated.
+ *
+ * The draw members are defined inline below because every kernel and
+ * input generator calls them once per element.  Inlining changes no
+ * value: the build enables no floating-point contraction, and
+ * Rng.DrawsMatchPinnedValues pins the draws across builds.
  */
 
 #ifndef REPRO_UTIL_RNG_H
 #define REPRO_UTIL_RNG_H
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+
+#include "util/log.h"
 
 namespace repro::util {
 
@@ -92,6 +101,81 @@ class Rng
     double spare = 0.0;
     bool hasSpare = false;
 };
+
+inline Rng::result_type
+Rng::operator()()
+{
+    const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = std::rotl(s[3], 45);
+
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+}
+
+inline double
+Rng::uniform(double lo, double hi)
+{
+    return lo + (hi - lo) * uniform();
+}
+
+inline std::uint64_t
+Rng::uniformInt(std::uint64_t n)
+{
+    REPRO_ASSERT(n > 0, "uniformInt requires n > 0");
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t limit =
+        std::numeric_limits<std::uint64_t>::max() -
+        std::numeric_limits<std::uint64_t>::max() % n;
+    std::uint64_t draw;
+    do {
+        draw = (*this)();
+    } while (draw >= limit);
+    return draw % n;
+}
+
+inline double
+Rng::gaussian()
+{
+    if (hasSpare) {
+        hasSpare = false;
+        return spare;
+    }
+    double u, v, q;
+    do {
+        u = uniform(-1.0, 1.0);
+        v = uniform(-1.0, 1.0);
+        q = u * u + v * v;
+    } while (q >= 1.0 || q == 0.0);
+    const double f = std::sqrt(-2.0 * std::log(q) / q);
+    spare = v * f;
+    hasSpare = true;
+    return u * f;
+}
+
+inline double
+Rng::gaussian(double mean, double stddev)
+{
+    return mean + stddev * gaussian();
+}
+
+inline bool
+Rng::bernoulli(double p)
+{
+    return uniform() < p;
+}
 
 } // namespace repro::util
 

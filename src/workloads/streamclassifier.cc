@@ -1,11 +1,14 @@
 #include "workloads/streamclassifier.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/log.h"
 
 namespace repro::workloads {
+
+constexpr unsigned kClasses = StreamclassifierState::kClasses;
 
 StreamclassifierModel::StreamclassifierModel(
     StreamclassifierParams params, const std::vector<LabeledPoint> *points)
@@ -18,7 +21,8 @@ StreamclassifierModel::StreamclassifierModel(
 }
 
 Point2
-StreamclassifierModel::classCenter(double t, unsigned cls) const
+StreamclassifierModel::classCenter(const StreamclassifierParams &p,
+                                   double t, unsigned cls)
 {
     // Two classes on opposite sides of the arena, both drifting.
     const double gx = p.arena * (cls == 0 ? 0.35 : 0.65);
@@ -31,9 +35,9 @@ core::StateHandle
 StreamclassifierModel::initialState() const
 {
     auto s = std::make_unique<StreamclassifierState>();
-    for (unsigned c = 0; c < p.classes; ++c)
-        s->protos.push_back(classCenter(0.0, c));
-    s->counts.assign(p.classes, 1.0);
+    for (unsigned c = 0; c < kClasses; ++c)
+        s->protos[c] = classCenter(p, 0.0, c);
+    s->counts.fill(1.0);
     return s;
 }
 
@@ -42,11 +46,11 @@ StreamclassifierModel::coldState() const
 {
     auto s = std::make_unique<StreamclassifierState>();
     // Neutral prototypes at the undrifted class anchors.
-    for (unsigned c = 0; c < p.classes; ++c) {
+    for (unsigned c = 0; c < kClasses; ++c) {
         const double gx = p.arena * (c == 0 ? 0.35 : 0.65);
-        s->protos.push_back({gx, p.arena * 0.5});
+        s->protos[c] = {gx, p.arena * 0.5};
     }
-    s->counts.assign(p.classes, 1.0);
+    s->counts.fill(1.0);
     return s;
 }
 
@@ -58,15 +62,15 @@ StreamclassifierModel::update(core::State &state, std::size_t input,
     const LabeledPoint *batch =
         points_->data() + input * p.pointsPerInput;
 
-    std::vector<Point2> sums(p.classes);
-    std::vector<double> ns(p.classes, 0.0);
+    std::array<Point2, kClasses> sums{};
+    std::array<double, kClasses> ns{};
 
     for (unsigned j = 0; j < p.pointsPerInput; ++j) {
         const LabeledPoint &lp = batch[j];
         // Nearest-prototype prediction.
         unsigned pred = 0;
         double best = distanceSq(lp.pos, s.protos[0]);
-        for (unsigned c = 1; c < p.classes; ++c) {
+        for (unsigned c = 1; c < kClasses; ++c) {
             const double d = distanceSq(lp.pos, s.protos[c]);
             if (d < best) {
                 best = d;
@@ -86,7 +90,7 @@ StreamclassifierModel::update(core::State &state, std::size_t input,
 
     // Count-weighted prototype refinement: stale prototypes iterate
     // more (see file comment).
-    for (unsigned c = 0; c < p.classes; ++c) {
+    for (unsigned c = 0; c < kClasses; ++c) {
         if (ns[c] <= 0.0)
             continue;
         const Point2 centroid{sums[c].x / ns[c], sums[c].y / ns[c]};
@@ -105,7 +109,7 @@ StreamclassifierModel::update(core::State &state, std::size_t input,
 
     if (ctx.rng().bernoulli(p.explorationProbability)) {
         const unsigned c =
-            static_cast<unsigned>(ctx.rng().uniformInt(p.classes));
+            static_cast<unsigned>(ctx.rng().uniformInt(kClasses));
         s.protos[c].x += ctx.rng().gaussian(0.0, 2.0);
         s.protos[c].y += ctx.rng().gaussian(0.0, 2.0);
     }
@@ -120,7 +124,7 @@ StreamclassifierModel::matches(const core::State &spec,
     const auto &a = static_cast<const StreamclassifierState &>(spec);
     const auto &b = static_cast<const StreamclassifierState &>(orig);
     double proto_dist = 0.0;
-    for (unsigned c = 0; c < p.classes; ++c)
+    for (unsigned c = 0; c < kClasses; ++c)
         proto_dist += distance(a.protos[c], b.protos[c]);
     return proto_dist <= p.matchTolerance &&
            std::abs(a.accuracyEma - b.accuracyEma) <=
@@ -129,22 +133,25 @@ StreamclassifierModel::matches(const core::State &spec,
 
 StreamclassifierWorkload::StreamclassifierWorkload(double scale)
 {
-    params_ = StreamclassifierParams{};
     params_.inputs = std::max<std::size_t>(
         static_cast<std::size_t>(560 * scale), 112);
 
+    // A batch's centers depend only on the batch, so they are computed
+    // once; the draw order (label, x offset, y offset) fixes the stream.
     util::Rng data_rng(params_.dataSeed);
-    points_.resize(params_.inputs * params_.pointsPerInput);
-    StreamclassifierModel probe(params_, &points_); // For classCenter.
+    points_.reserve(params_.inputs * params_.pointsPerInput);
     for (std::size_t i = 0; i < params_.inputs; ++i) {
+        const double t = static_cast<double>(i);
+        const std::array<Point2, kClasses> centers = {
+            StreamclassifierModel::classCenter(params_, t, 0),
+            StreamclassifierModel::classCenter(params_, t, 1)};
         for (unsigned j = 0; j < params_.pointsPerInput; ++j) {
-            LabeledPoint &lp = points_[i * params_.pointsPerInput + j];
-            lp.label = static_cast<unsigned>(
-                data_rng.uniformInt(params_.classes));
-            const Point2 c =
-                probe.classCenter(static_cast<double>(i), lp.label);
+            LabeledPoint lp;
+            lp.label = static_cast<unsigned>(data_rng.uniformInt(kClasses));
+            const Point2 &c = centers[lp.label];
             lp.pos.x = c.x + data_rng.gaussian(0.0, params_.classSpread);
             lp.pos.y = c.y + data_rng.gaussian(0.0, params_.classSpread);
+            points_.push_back(lp);
         }
     }
     model_ = std::make_unique<StreamclassifierModel>(params_, &points_);

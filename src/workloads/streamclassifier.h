@@ -14,11 +14,17 @@
  *
  * Nondeterminism: per-batch subsampling of update points and occasional
  * exploration nudges of a prototype.
+ *
+ * Two classes is a constant (classCenter() anchors exactly two), so the
+ * state is fixed arrays, cloned in one allocation, and update() keeps its
+ * per-class sums on the stack.  The input generator computes each batch's
+ * two class centers once.
  */
 
 #ifndef REPRO_WORKLOADS_STREAMCLASSIFIER_H
 #define REPRO_WORKLOADS_STREAMCLASSIFIER_H
 
+#include <array>
 #include <vector>
 
 #include "core/state_model.h"
@@ -39,7 +45,6 @@ struct StreamclassifierParams
 {
     std::size_t inputs = 560;     //!< Labeled batches.
     unsigned pointsPerInput = 32; //!< Points per batch.
-    unsigned classes = 2;
     double arena = 100.0;
     double driftAmplitude = 8.0;
     double classSpread = 6.0;     //!< Scatter: classes overlap slightly.
@@ -59,8 +64,10 @@ struct StreamclassifierParams
 /** Prototypes + counts + running accuracy: the 104-byte state. */
 struct StreamclassifierState : core::TypedState<StreamclassifierState>
 {
-    std::vector<Point2> protos;
-    std::vector<double> counts;
+    static constexpr unsigned kClasses = 2;
+
+    std::array<Point2, kClasses> protos{};
+    std::array<double, kClasses> counts{};
     double accuracyEma = 0.5;
 };
 
@@ -83,8 +90,9 @@ class StreamclassifierModel : public core::IStateModel
 
     const StreamclassifierParams &params() const { return p; }
 
-    /** True class center of @p cls at batch @p t (for quality). */
-    Point2 classCenter(double t, unsigned cls) const;
+    /** True center of class @p cls (0 or 1) at batch @p t. */
+    static Point2 classCenter(const StreamclassifierParams &p, double t,
+                              unsigned cls);
 
   private:
     StreamclassifierParams p;
@@ -104,6 +112,9 @@ class StreamclassifierWorkload : public Workload
     core::StatsConfig tunedConfig(unsigned cores) const override;
     double quality(const std::vector<double> &outputs) const override;
     perfmodel::AccessProfile accessProfile() const override;
+
+    /** The labeled input stream, batch by batch (for tests). */
+    const std::vector<LabeledPoint> &points() const { return points_; }
 
   private:
     StreamclassifierParams params_;

@@ -1,9 +1,10 @@
 /**
  * @file
  * ServingRuntime behaviour tests: session lifecycle, typed submit
- * backpressure, deterministic fake-clock deadline closure, closure-
- * order invariance of outputs, concurrent multi-session traffic with
- * its registry accounting, and BlockArena reclamation at eviction.
+ * backpressure, deterministic fake-clock deadline closure (clock jumps
+ * included), closure-order invariance of outputs, concurrent
+ * multi-session traffic with its registry accounting, and BlockArena
+ * reclamation at eviction.
  *
  * Every deterministic test runs with the background coordinator off
  * and pumps poll() manually against an injected fake clock, so closure
@@ -236,6 +237,70 @@ TEST(ServingRuntime, DeadlineClosesPartialChunkOfStalledProducer)
                   .counter("serving.deadline_closures")
                   .value(),
               deadlineBefore + 1);
+    runtime.evict(id);
+}
+
+TEST(ServingRuntime, DeadlineClosureSurvivesClockJumps)
+{
+    // Pins today's behaviour under a steady clock that jumps: a
+    // backwards jump delays deadline closure by the size of the jump,
+    // a forwards jump closes everything open at once, and neither
+    // changes outputs or wraps a latency sample.
+    EmaModel::Config mc;
+    mc.inputs = 64;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    auto &e2e = repro::metrics::MetricsRegistry::global().histogram(
+        "serving.e2e_latency_seconds");
+    const auto e2eBefore = e2e.snapshot();
+
+    Collector results;
+    SessionConfig cfg;
+    cfg.chunkInputs = 100;
+    cfg.latencyBudget = std::chrono::milliseconds(50);
+    cfg.seed = 17;
+    cfg.onResult = results.fn();
+    const SessionId id = runtime.admit(model, cfg);
+
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    clock.advance(-std::chrono::seconds(10));
+    runtime.poll();
+    EXPECT_EQ(runtime.sessionStats(id).chunksClosed, 0u);
+    EXPECT_EQ(runtime.sessionStats(id).deadlineClosures, 0u);
+
+    for (int i = 0; i < 2; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    clock.advance(std::chrono::seconds(20));
+    runtime.poll();
+    const auto stats = runtime.sessionStats(id);
+    EXPECT_EQ(stats.chunksClosed, 1u);
+    EXPECT_EQ(stats.deadlineClosures, 1u);
+
+    runtime.drain(id);
+    EXPECT_EQ(runtime.sessionStats(id).outputsDelivered, 5u);
+    SessionPipeline replay(model, cfg.stats, cfg.seed);
+    const auto expected = replay.processChunk(5);
+    {
+        const std::lock_guard<std::mutex> lock(results.mu);
+        EXPECT_EQ(results.chunkIndices.size(), 1u);
+        EXPECT_EQ(results.deadlineChunks, 1u);
+        ASSERT_EQ(results.outputs.size(), expected.outputs.size());
+        for (std::size_t i = 0; i < expected.outputs.size(); ++i)
+            ASSERT_EQ(results.outputs[i], expected.outputs[i])
+                << "input " << i;
+    }
+
+    // Delivered at t = +10 s: three inputs stamped at 0 s waited 10 s
+    // and two stamped at -10 s waited 20 s, 70 s in all.  Raw
+    // differences, not deltaSince(), so a wrapped sum cannot be
+    // clamped away.
+    const auto e2eAfter = e2e.snapshot();
+    EXPECT_EQ(e2eAfter.count - e2eBefore.count, 5u);
+    const double sumDelta = e2eAfter.sumSeconds - e2eBefore.sumSeconds;
+    EXPECT_GT(sumDelta, 0.0);
+    EXPECT_LT(sumDelta, 100.0);
     runtime.evict(id);
 }
 

@@ -157,6 +157,39 @@ TEST(Rng, BernoulliFrequency)
     EXPECT_NEAR(hits / static_cast<double>(draws), 0.3, 0.01);
 }
 
+TEST(Rng, DrawsMatchPinnedValues)
+{
+    // Pinned from one build and checked in every other, so a change to
+    // how the draws compile cannot change a value.  Draws built only
+    // from integer and exact floating-point steps compare exactly; the
+    // Gaussian and exponential draws go through libm's log, whose last
+    // bit may differ between C libraries.
+    Rng r(42);
+    EXPECT_EQ(r(), 1546998764402558742ULL);
+    EXPECT_EQ(r(), 6990951692964543102ULL);
+    EXPECT_EQ(r(), 12544586762248559009ULL);
+    EXPECT_EQ(r(), 17057574109182124193ULL);
+    EXPECT_EQ(r.uniform(), 0.99180391428210279);
+    EXPECT_EQ(r.uniform(-1.0, 1.0), 0.53947892086848492);
+    EXPECT_EQ(r.uniformInt(1), 0u);
+    EXPECT_EQ(r.uniformInt(2), 1u);
+    EXPECT_EQ(r.uniformInt(3), 1u);
+    EXPECT_EQ(r.uniformInt(7), 5u);
+    EXPECT_EQ(r.uniformInt(1 << 20), 14705u);
+    const bool bernoulli[8] = {true,  false, false, false,
+                               false, false, false, false};
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(r.bernoulli(0.3), bernoulli[i]) << "draw " << i;
+    // Two pairs, so both the fresh draw and the cached spare are pinned.
+    EXPECT_DOUBLE_EQ(r.gaussian(), 0.27228890048001569);
+    EXPECT_DOUBLE_EQ(r.gaussian(), -0.53341706825295998);
+    EXPECT_DOUBLE_EQ(r.gaussian(), -1.2771064350722834);
+    EXPECT_DOUBLE_EQ(r.gaussian(), -0.25386245967784471);
+    EXPECT_DOUBLE_EQ(r.gaussian(5.0, 2.0), 6.7809573447879101);
+    EXPECT_DOUBLE_EQ(r.exponential(3.0), 0.2239203384193533);
+    EXPECT_EQ(r.split(7)(), 10444714017876021430ULL);
+}
+
 TEST(Rng, SeedAccessor)
 {
     EXPECT_EQ(Rng(1234).seed(), 1234u);

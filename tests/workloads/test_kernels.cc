@@ -6,7 +6,8 @@
  * on: Monte-Carlo convergence to the Black price (swaptions), tracking
  * accuracy and cold-start re-acquisition (the particle filters), the
  * staleness-dependent refinement costs of the stream kernels (§V-C),
- * and the structural parameters of Table I.
+ * the structural parameters of Table I, and the streamclassifier input
+ * stream, pinned point by point.
  */
 
 #include <gtest/gtest.h>
@@ -231,6 +232,37 @@ TEST(Streamclassifier, StateSizeMatchesTable1)
 {
     const StreamclassifierWorkload w(0.25);
     EXPECT_EQ(w.model().stateSizeBytes(), 104u);
+}
+
+TEST(Streamclassifier, StreamIsPinned)
+{
+    // Pinned from one build: a change to the generator's draw order
+    // moves a coordinate by whole units, while a last-bit difference in
+    // libm's sin or log stays far inside the 1e-12 relative tolerance.
+    const StreamclassifierWorkload w(1.0);
+    const std::vector<LabeledPoint> &pts = w.points();
+    ASSERT_EQ(pts.size(), 560u * 32u);
+    struct Pinned
+    {
+        std::size_t index;
+        unsigned label;
+        double x, y;
+    };
+    const Pinned pinned[] = {
+        {0, 1, 68.725561248633468, 49.117418823920431},
+        {1, 1, 66.695602106943383, 47.742114492377539},
+        {31, 0, 30.330432423591677, 64.889625512428552},
+        {32, 0, 29.295040499620104, 58.428310234526876},
+        {17919, 0, 39.647972918638658, 56.544580227913706},
+    };
+    for (const Pinned &e : pinned) {
+        const LabeledPoint &lp = pts[e.index];
+        EXPECT_EQ(lp.label, e.label) << "point " << e.index;
+        EXPECT_NEAR(lp.pos.x, e.x, 1e-12 * std::abs(e.x))
+            << "point " << e.index;
+        EXPECT_NEAR(lp.pos.y, e.y, 1e-12 * std::abs(e.y))
+            << "point " << e.index;
+    }
 }
 
 // ---------------------------------------------------------------- bodytrack
