@@ -3,15 +3,19 @@
  * google-benchmark micro benchmarks for the substrate primitives:
  * RNG throughput, particle-cloud steps, cache-simulator and
  * branch-predictor throughput, discrete-event scheduling, the
- * state-copy cost model the paper singles out in §V-C, and the
+ * state-copy cost model the paper singles out in §V-C, the
  * streamclassifier kernel and input generator that both serving
- * workloads run.
+ * workloads run, and the e2e latency histogram every serving strand
+ * writes.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "core/engine.h"
 #include "core/versioned_state.h"
+#include "metrics/metrics.h"
 #include "perfmodel/branch.h"
 #include "perfmodel/cache.h"
 #include "platform/des.h"
@@ -260,6 +264,46 @@ BM_StreamclassifierStream(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 5600 * 32);
 }
 BENCHMARK(BM_StreamclassifierStream)->Unit(benchmark::kMillisecond);
+
+/** 64 latencies of 1-20 ms, a serve-steady chunk's e2e samples. */
+std::array<double, 64>
+chunkLatencies()
+{
+    std::array<double, 64> lat{};
+    for (std::size_t i = 0; i < lat.size(); ++i)
+        lat[i] = 1e-3 * static_cast<double>(1 + i % 20);
+    return lat;
+}
+
+/** Shared by every benchmark thread, like serving.e2e_latency_seconds
+ *  is by every pool worker. */
+metrics::LatencyHistogram g_latency;
+
+void
+BM_LatencyHistogramObserve(benchmark::State &state)
+{
+    // One chunk's latencies, one observe() each.
+    std::array<double, 64> lat = chunkLatencies();
+    benchmark::DoNotOptimize(lat);
+    for (auto _ : state) {
+        for (const double s : lat)
+            g_latency.observe(s);
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_LatencyHistogramObserve)->Threads(1)->Threads(4);
+
+void
+BM_LatencyHistogramObserveBatch(benchmark::State &state)
+{
+    // The same latencies in one batch observe().
+    std::array<double, 64> lat = chunkLatencies();
+    benchmark::DoNotOptimize(lat);
+    for (auto _ : state)
+        g_latency.observe(lat);
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_LatencyHistogramObserveBatch)->Threads(1)->Threads(4);
 
 } // namespace
 

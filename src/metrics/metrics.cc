@@ -52,14 +52,9 @@ Gauge::reset()
         cell.v.store(0, std::memory_order_relaxed);
 }
 
-void
-LatencyHistogram::observe(double seconds)
+int
+LatencyHistogram::bucketOf(double seconds)
 {
-    if (!enabled())
-        return;
-    // A negative sample (a clock that stepped back) counts as 0 in
-    // the bucket and the sum alike; the sum is unsigned.
-    seconds = std::max(seconds, 0.0);
     const double us = seconds * 1e6;
     // Bucket index = floor(log2(us)) - kLog2Lo, clamped into range.
     // log2(0) is -inf; the first bucket absorbs it.
@@ -68,11 +63,44 @@ LatencyHistogram::observe(double seconds)
         b = static_cast<int>(std::floor(std::log2(us))) - kLog2Lo;
         b = std::max(0, std::min(b, kBuckets - 1));
     }
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    return b;
+}
+
+void
+LatencyHistogram::observe(double seconds)
+{
+    if (!enabled())
+        return;
+    // A negative sample (a clock that stepped back) counts as 0 in
+    // the bucket and the sum alike; the sum is unsigned.
+    seconds = std::max(seconds, 0.0);
+    buckets_[bucketOf(seconds)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sumNanos_.fetch_add(
         static_cast<std::uint64_t>(std::llround(seconds * 1e9)),
         std::memory_order_relaxed);
+}
+
+void
+LatencyHistogram::observe(std::span<const double> seconds)
+{
+    if (!enabled() || seconds.empty())
+        return;
+    // Accumulate locally with observe(double)'s clamp and rounding;
+    // the unsigned sum wraps the same way in any order.
+    std::uint64_t counts[kBuckets] = {};
+    std::uint64_t sum_nanos = 0;
+    for (double s : seconds) {
+        s = std::max(s, 0.0);
+        ++counts[bucketOf(s)];
+        sum_nanos += static_cast<std::uint64_t>(std::llround(s * 1e9));
+    }
+    for (int b = 0; b < kBuckets; ++b) {
+        if (counts[b] != 0)
+            buckets_[b].fetch_add(counts[b], std::memory_order_relaxed);
+    }
+    count_.fetch_add(seconds.size(), std::memory_order_relaxed);
+    sumNanos_.fetch_add(sum_nanos, std::memory_order_relaxed);
 }
 
 double

@@ -48,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -152,7 +153,10 @@ class Gauge
  * Bounded-memory streaming latency histogram: power-of-two buckets
  * over microseconds, from 2^kLog2Lo us (sub-nanosecond) to
  * 2^(kLog2Lo + kBuckets) us (~36 minutes), atomic counts.
- * observe() costs one log2, three relaxed fetch_adds.
+ * observe() costs one log2, three relaxed fetch_adds.  The batch
+ * overload records n samples with one fetch_add per touched bucket
+ * plus two, so writers that share a histogram contend once per batch
+ * instead of once per sample.
  */
 class LatencyHistogram
 {
@@ -163,6 +167,10 @@ class LatencyHistogram
 
     /** Records one latency of @p seconds (negative clamps to 0). */
     void observe(double seconds);
+
+    /** Records every latency in @p seconds: the same bucket counts,
+     *  count and sum as one observe(double) call per element. */
+    void observe(std::span<const double> seconds);
 
     /** Convenience: records now() - @p start. */
     void
@@ -220,6 +228,9 @@ class LatencyHistogram
     void reset();
 
   private:
+    /** Bucket of a sample already clamped to >= 0. */
+    static int bucketOf(double seconds);
+
     std::atomic<std::uint64_t> buckets_[kBuckets] = {};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> sumNanos_{0};

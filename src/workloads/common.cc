@@ -8,20 +8,6 @@
 namespace repro::workloads {
 
 double
-distance(const Point2 &a, const Point2 &b)
-{
-    return std::sqrt(distanceSq(a, b));
-}
-
-double
-distanceSq(const Point2 &a, const Point2 &b)
-{
-    const double dx = a.x - b.x;
-    const double dy = a.y - b.y;
-    return dx * dx + dy * dy;
-}
-
-double
 normalCdf(double x)
 {
     return 0.5 * std::erfc(-x / std::sqrt(2.0));

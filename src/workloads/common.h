@@ -6,6 +6,7 @@
 #ifndef REPRO_WORKLOADS_COMMON_H
 #define REPRO_WORKLOADS_COMMON_H
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -21,11 +22,27 @@ struct Point2
     double y = 0.0;
 };
 
-/** Euclidean distance between two points. */
-double distance(const Point2 &a, const Point2 &b);
+// distanceSq and distance are inline because the kernels call them in
+// their innermost loops: streamclassifier and streamcluster per point
+// and per refinement step, bodytrack per particle and joint.  The build
+// passes neither -march nor -mfma and baseline x86-64 has no FMA, so
+// inlining cannot contract dx * dx + dy * dy or move an output bit.
 
 /** Squared Euclidean distance. */
-double distanceSq(const Point2 &a, const Point2 &b);
+inline double
+distanceSq(const Point2 &a, const Point2 &b)
+{
+    const double dx = a.x - b.x;
+    const double dy = a.y - b.y;
+    return dx * dx + dy * dy;
+}
+
+/** Euclidean distance between two points. */
+inline double
+distance(const Point2 &a, const Point2 &b)
+{
+    return std::sqrt(distanceSq(a, b));
+}
 
 /** Standard normal CDF (for Black's formula). */
 double normalCdf(double x);

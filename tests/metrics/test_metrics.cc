@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,6 +179,73 @@ TEST_F(MetricsTest, LatencyHistogramQuantiles)
     EXPECT_LE(p99, 2e-1);
     EXPECT_LE(p50, snap.quantileSeconds(0.9));
     EXPECT_LE(snap.quantileSeconds(0.9), p99);
+}
+
+TEST_F(MetricsTest, LatencyHistogramBatchMatchesSingleObserves)
+{
+    // 0, a negative, one sample below bucket 0, one past the last
+    // bucket (2^31 us is about 2147 s), and a spread across the rest.
+    std::vector<double> samples = {0.0, -2.5, 1e-10, 1e4, 1e-3, 1e-3};
+    for (double s = 3e-10; s < 5e3; s *= 1.7)
+        samples.push_back(s);
+    LatencyHistogram single;
+    for (const double s : samples)
+        single.observe(s);
+    LatencyHistogram batch;
+    batch.observe(samples);
+    const LatencyHistogram::Snapshot a = single.snapshot();
+    const LatencyHistogram::Snapshot b = batch.snapshot();
+    EXPECT_EQ(b.count, samples.size());
+    EXPECT_EQ(b.count, a.count);
+    EXPECT_EQ(b.sumSeconds, a.sumSeconds);
+    ASSERT_EQ(b.buckets.size(),
+              static_cast<std::size_t>(LatencyHistogram::kBuckets));
+    EXPECT_EQ(b.buckets, a.buckets);
+    EXPECT_GE(b.buckets.front(), 3u);
+    EXPECT_GE(b.buckets.back(), 1u);
+
+    // An empty batch, and a batch while metrics are off, record nothing.
+    batch.observe(std::span<const double>());
+    repro::metrics::setEnabled(false);
+    batch.observe(samples);
+    repro::metrics::setEnabled(true);
+    const LatencyHistogram::Snapshot c = batch.snapshot();
+    EXPECT_EQ(c.count, b.count);
+    EXPECT_EQ(c.sumSeconds, b.sumSeconds);
+    EXPECT_EQ(c.buckets, b.buckets);
+}
+
+TEST_F(MetricsTest, LatencyHistogramBatchAcrossThreads)
+{
+    // Concurrent batches land exactly: the totals equal the same
+    // samples observed one at a time on one thread.
+    constexpr int kThreads = 4;
+    constexpr int kBatches = 500;
+    const std::vector<double> samples = {1e-6, 2e-5, 3e-4, 4e-3,
+                                         5e-2, 0.0,  1e-3, 1e-3};
+    LatencyHistogram shared;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&] {
+            for (int i = 0; i < kBatches; ++i)
+                shared.observe(samples);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    LatencyHistogram expected;
+    for (int i = 0; i < kThreads * kBatches; ++i) {
+        for (const double s : samples)
+            expected.observe(s);
+    }
+    const LatencyHistogram::Snapshot got = shared.snapshot();
+    const LatencyHistogram::Snapshot want = expected.snapshot();
+    EXPECT_EQ(got.count,
+              static_cast<std::uint64_t>(kThreads) * kBatches *
+                  samples.size());
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.sumSeconds, want.sumSeconds);
+    EXPECT_EQ(got.buckets, want.buckets);
 }
 
 TEST_F(MetricsTest, ScopedTimerRecordsOneSample)

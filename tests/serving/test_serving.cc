@@ -2,7 +2,8 @@
  * @file
  * ServingRuntime behaviour tests: session lifecycle, typed submit
  * backpressure, deterministic fake-clock deadline closure (clock jumps
- * included), closure-order invariance of outputs, concurrent
+ * included), closure-order invariance of outputs, e2e latency
+ * accounting for a chunk larger than the strand's buffer, concurrent
  * multi-session traffic with its registry accounting, and BlockArena
  * reclamation at eviction.
  *
@@ -301,6 +302,43 @@ TEST(ServingRuntime, DeadlineClosureSurvivesClockJumps)
     const double sumDelta = e2eAfter.sumSeconds - e2eBefore.sumSeconds;
     EXPECT_GT(sumDelta, 0.0);
     EXPECT_LT(sumDelta, 100.0);
+    runtime.evict(id);
+}
+
+TEST(ServingRuntime, LargeChunkRecordsEveryLatency)
+{
+    // One chunk larger than the strand's latency buffer: every input
+    // still lands in serving.e2e_latency_seconds, each exactly 1 ms.
+    constexpr std::size_t kChunk = 300;
+    EmaModel::Config mc;
+    mc.inputs = kChunk;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+    auto &e2e = repro::metrics::MetricsRegistry::global().histogram(
+        "serving.e2e_latency_seconds");
+    const auto e2eBefore = e2e.snapshot();
+
+    SessionConfig cfg;
+    cfg.chunkInputs = kChunk;
+    cfg.queueCapacity = 512;
+    const SessionId id = runtime.admit(model, cfg);
+    for (std::size_t i = 0; i < kChunk; ++i)
+        ASSERT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+    clock.advance(std::chrono::milliseconds(1));
+    runtime.poll();
+    runtime.drain(id);
+    const auto stats = runtime.sessionStats(id);
+    EXPECT_EQ(stats.chunksProcessed, 1u);
+    EXPECT_EQ(stats.outputsDelivered, kChunk);
+
+    const auto e2eAfter = e2e.snapshot();
+    EXPECT_EQ(e2eAfter.count - e2eBefore.count, kChunk);
+    EXPECT_NEAR(e2eAfter.sumSeconds - e2eBefore.sumSeconds, 0.3, 1e-9);
+    // 1 ms = 1000 us sits in bucket [2^9, 2^10) us.
+    const auto b = static_cast<std::size_t>(
+        9 - repro::metrics::LatencyHistogram::kLog2Lo);
+    EXPECT_EQ(e2eAfter.buckets[b] - e2eBefore.buckets[b], kChunk);
     runtime.evict(id);
 }
 

@@ -1,19 +1,24 @@
 /**
  * @file
  * Registry-level and engine-integration tests across all six
- * benchmarks (workloads/workload.h).
+ * benchmarks (workloads/workload.h), and their pinned sequential
+ * outputs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "core/engine.h"
+#include "core/native_runtime.h"
 #include "workloads/workload.h"
 
 namespace {
 
 using repro::core::Engine;
+using repro::core::NativeRuntime;
 using repro::core::RunResult;
 using namespace repro::workloads;
 
@@ -99,6 +104,50 @@ TEST(Registry, AccessProfilesAreSane)
         EXPECT_LE(profile.hotFraction, 1.0);
         EXPECT_GT(profile.statsWorkScale, 0.0);
         EXPECT_LE(profile.statsWorkScale, 1.0);
+    }
+}
+
+TEST(Workloads, SequentialOutputsArePinned)
+{
+    // Pinned from one build: a slip in a kernel's arithmetic or its RNG
+    // draw order moves these values by far more than the 1e-9 relative
+    // tolerance, while a last-bit difference in libm stays inside it.
+    struct Pinned
+    {
+        const char *name;
+        std::size_t count;
+        double sum, first, middle, last;
+    };
+    const Pinned pinned[] = {
+        {"swaptions", 256, 3.3232342313694723, 0.011576599663381277,
+         0.013008726637474084, 0.012752837835118911},
+        {"streamclassifier", 140, 138.4583396532222, 0.98283158089853739,
+         0.99880274848174389, 0.98783306506658231},
+        {"streamcluster", 1120, 4546.0549334763018, 6.4965054414912196,
+         3.6104193708150416, 6.162855331717723},
+        {"bodytrack", 48, 44.870732338706318, 0.12218027863088443,
+         0.74592130843393012, 1.2612636926164678},
+        {"facetrack", 150, 1518.3362190850205, 0.22776892715039626,
+         0.48381082024988942, 0.41928692482906899},
+        {"facedet-and-track", 262, 302.25647044463597,
+         0.46971579611438391, 1.378070478461729, 1.7608291999750374},
+    };
+    ASSERT_EQ(std::size(pinned), workloadNames().size());
+    const NativeRuntime runtime(1);
+    for (const Pinned &e : pinned) {
+        const auto w = makeWorkload(e.name, kScale);
+        const auto r = runtime.runSequential(w->model(), 42);
+        const std::vector<double> &out = r.outputs;
+        ASSERT_EQ(out.size(), e.count) << e.name;
+        double sum = 0.0;
+        for (const double o : out)
+            sum += o;
+        EXPECT_NEAR(sum, e.sum, 1e-9 * std::abs(e.sum)) << e.name;
+        EXPECT_NEAR(out[0], e.first, 1e-9 * std::abs(e.first)) << e.name;
+        EXPECT_NEAR(out[e.count / 2], e.middle, 1e-9 * std::abs(e.middle))
+            << e.name;
+        EXPECT_NEAR(out[e.count - 1], e.last, 1e-9 * std::abs(e.last))
+            << e.name;
     }
 }
 
