@@ -4,14 +4,15 @@
  * RNG throughput, particle-cloud steps, cache-simulator and
  * branch-predictor throughput, discrete-event scheduling, the
  * state-copy cost model the paper singles out in §V-C, the
- * streamclassifier kernel and input generator that both serving
- * workloads run, and the e2e latency histogram every serving strand
- * writes.
+ * facedet-and-track kernel that batch-track runs, the streamclassifier
+ * kernel and input generator that both serving workloads run, and the
+ * e2e latency histogram every serving strand writes.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/versioned_state.h"
@@ -20,6 +21,7 @@
 #include "perfmodel/cache.h"
 #include "platform/des.h"
 #include "util/rng.h"
+#include "workloads/facedet_track.h"
 #include "workloads/particle_filter.h"
 #include "workloads/streamclassifier.h"
 #include "workloads/swaptions.h"
@@ -49,6 +51,22 @@ BM_RngGaussian(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_RngGaussian);
+
+void
+BM_RngGaussians(benchmark::State &state)
+{
+    // 750 draws per iteration in one bulk fill: a facedet-and-track
+    // frame's reseed (250 particles x 3 dims).
+    util::Rng rng(1);
+    std::array<double, 750> out;
+    for (auto _ : state) {
+        rng.gaussians(out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 750);
+}
+BENCHMARK(BM_RngGaussians);
 
 void
 BM_RngUniformInt(benchmark::State &state)
@@ -252,6 +270,34 @@ BM_StreamclassifierUpdate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StreamclassifierUpdate);
+
+void
+BM_FacedetTrackUpdate(benchmark::State &state)
+{
+    // One update() on a state warmed over the first 100 frames, cycling
+    // through the frames of one kind: arg 0 takes the detect frames
+    // (the cloud reseeds around the detection), arg 1 the occluded
+    // frames (a full propagate, weigh, mean and resample step).
+    const workloads::FacedetTrackWorkload w(1.0);
+    const core::IStateModel &model = w.model();
+    const bool occluded = state.range(0) != 0;
+    std::vector<std::size_t> frames;
+    for (std::size_t f = 0; f < model.numInputs(); ++f) {
+        if (w.occludedFrames()[f] == occluded)
+            frames.push_back(f);
+    }
+    auto s = model.initialState();
+    core::ExecContext ctx(util::Rng(8), nullptr,
+                          trace::TaskKind::ChunkBody);
+    for (std::size_t f = 0; f < 100; ++f)
+        model.update(*s, f, ctx);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            model.update(*s, frames[i++ % frames.size()], ctx));
+    }
+}
+BENCHMARK(BM_FacedetTrackUpdate)->ArgName("occluded")->Arg(0)->Arg(1);
 
 void
 BM_StreamclassifierStream(benchmark::State &state)

@@ -17,7 +17,10 @@
  * The draw members are defined inline below because every kernel and
  * input generator calls them once per element.  Inlining changes no
  * value: the build enables no floating-point contraction, and
- * Rng.DrawsMatchPinnedValues pins the draws across builds.
+ * Rng.DrawsMatchPinnedValues pins the draws across builds.  The bulk
+ * gaussians() fill is the one out-of-line draw: it is called once per
+ * block of particle coordinates, and it returns the values of the
+ * scalar gaussian() calls it replaces (Rng.GaussiansMatchSuccessiveGaussian).
  */
 
 #ifndef REPRO_UTIL_RNG_H
@@ -27,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "util/log.h"
 
@@ -86,6 +90,16 @@ class Rng
     /** Normal draw with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 
+    /**
+     * Writes the values of out.size() successive gaussian() calls to
+     * @p out, bit for bit, and leaves the generator where those calls
+     * would: the same raw draws consumed and the same spare pending.
+     * It draws in blocks of pairs: an accept pass runs the polar
+     * method's rejection test without branching on it, then a second
+     * pass turns each accepted pair into two normals.
+     */
+    void gaussians(std::span<double> out);
+
     /** Exponential draw with the given rate.  @pre rate > 0. */
     double exponential(double rate);
 
@@ -96,6 +110,10 @@ class Rng
     std::uint64_t seed() const { return _seed; }
 
   private:
+    /** One xoshiro256** step on the state words s0..s3. */
+    static result_type step(std::uint64_t &s0, std::uint64_t &s1,
+                            std::uint64_t &s2, std::uint64_t &s3);
+
     std::uint64_t _seed;
     std::uint64_t s[4];
     double spare = 0.0;
@@ -103,19 +121,26 @@ class Rng
 };
 
 inline Rng::result_type
-Rng::operator()()
+Rng::step(std::uint64_t &s0, std::uint64_t &s1, std::uint64_t &s2,
+          std::uint64_t &s3)
 {
-    const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
+    const std::uint64_t result = std::rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
 
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = std::rotl(s[3], 45);
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = std::rotl(s3, 45);
 
     return result;
+}
+
+inline Rng::result_type
+Rng::operator()()
+{
+    return step(s[0], s[1], s[2], s[3]);
 }
 
 inline double

@@ -58,11 +58,13 @@ BodytrackModel::update(core::State &state, std::size_t input,
         // Distribute guesses around the current image's measurements
         // (whole-block rewrite: a cold clone reseeds without copying
         // the shared particle blocks it is about to discard).
-        cloud.overwriteCoords([&](unsigned, unsigned d) {
-            const Point2 &ob = frame_obs[d / 2];
-            return (d % 2 == 0 ? ob.x : ob.y) +
-                   ctx.rng().gaussian(0.0, p.seedSpread);
-        });
+        std::vector<double> center(cloud.dims());
+        for (unsigned j = 0; j < p.joints; ++j) {
+            center[2 * j] = frame_obs[j].x;
+            center[2 * j + 1] = frame_obs[j].y;
+        }
+        const std::vector<double> sigma(cloud.dims(), p.seedSpread);
+        cloud.reseed(ctx.rng(), center, sigma);
         s.setSeeded(true);
     }
 

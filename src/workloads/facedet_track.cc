@@ -54,10 +54,8 @@ FacedetTrackModel::update(core::State &state, std::size_t input,
         // rewrite discards shared blocks without copying them, and the
         // estimate computed below — after the frame's last mutation —
         // leaves the cloud's mean cache warm for the commit check.
-        cloud.overwriteCoords([&](unsigned, unsigned d) {
-            return ob[d] +
-                   ctx.rng().gaussian(0.0, d == 2 ? 0.03 : 1.0);
-        });
+        const double detect_sigma[3] = {1.0, 1.0, 0.03};
+        cloud.reseed(ctx.rng(), {ob, 3}, detect_sigma);
         s.setSeeded(true);
         ctx.tick(p.opsDetectFrame);
         const Point2 est{cloud.mean(0), cloud.mean(1)};
@@ -66,17 +64,14 @@ FacedetTrackModel::update(core::State &state, std::size_t input,
 
     // Detector failed: full particle-filter step on the weak cue.
     if (!s.seeded()) {
-        cloud.overwriteCoords([&](unsigned, unsigned d) {
-            return ob[d] + ctx.rng().gaussian(
-                               0.0, d == 2 ? 0.05 : p.seedSpread);
-        });
+        const double seed_sigma[3] = {p.seedSpread, p.seedSpread, 0.05};
+        cloud.reseed(ctx.rng(), {ob, 3}, seed_sigma);
         s.setSeeded(true);
     }
 
-    cloud.transformCoords([&](unsigned, unsigned d, double c) {
-        return c +
-               ctx.rng().gaussian(0.0, d == 2 ? 0.02 : p.propagateSigma);
-    });
+    const double propagate_sigma[3] = {p.propagateSigma, p.propagateSigma,
+                                       0.02};
+    cloud.propagate(ctx.rng(), propagate_sigma);
 
     const double inv2s2 =
         1.0 / (2.0 * p.likelihoodSigma * p.likelihoodSigma);

@@ -46,11 +46,8 @@ FacetrackModel::update(core::State &state, std::size_t input,
     const double *tr = truth_->data() + input * 3;
 
     auto seed_from = [&](const double *center) {
-        cloud.overwriteCoords([&](unsigned, unsigned d) {
-            return center[d] +
-                   ctx.rng().gaussian(0.0,
-                                      d == 2 ? 0.05 : p.seedSpread);
-        });
+        const double seed_sigma[3] = {p.seedSpread, p.seedSpread, 0.05};
+        cloud.reseed(ctx.rng(), {center, 3}, seed_sigma);
         s.setSeeded(true);
         s.setLostCount(0);
     };
@@ -59,11 +56,9 @@ FacetrackModel::update(core::State &state, std::size_t input,
         seed_from(ob);
 
     // Motion model.
-    cloud.transformCoords([&](unsigned, unsigned d, double c) {
-        return c + ctx.rng().gaussian(0.0, d == 2
-                                               ? p.scalePropagateSigma
-                                               : p.propagateSigma);
-    });
+    const double propagate_sigma[3] = {p.propagateSigma, p.propagateSigma,
+                                       p.scalePropagateSigma};
+    cloud.propagate(ctx.rng(), propagate_sigma);
 
     // Appearance likelihood against the apparent measurement.  A locked
     // tracker far from a decoy sees a flat (floored) likelihood and

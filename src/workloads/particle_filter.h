@@ -11,11 +11,24 @@
  * Storage is a core::VersionedBuffer laid out as
  *   [particles x dims coordinates][particles weights][one flags word]
  * so cloning a cloud shares blocks instead of copying bytes, and the
- * bulk mutators (propagate, weigh, resample, overwriteCoords) rewrite
- * whole blocks without first materializing the stale content.  The
- * flags word packs workload booleans (seeded, lost counters) into the
- * versioned payload so the whole computational state lives behind one
- * buffer.
+ * bulk mutators (overwriteCoords, reseed, propagate, weigh, resample)
+ * rewrite whole blocks without first materializing the stale content.
+ * The flags word packs workload booleans (seeded, lost counters) into
+ * the versioned payload so the whole computational state lives behind
+ * one buffer.
+ *
+ * Draw order: reseed() and propagate() take each block piece's normals
+ * from one util::Rng::gaussians() call, in coordinate order (particles
+ * ascending, dims innermost), and write center[d] + (0.0 + sigma[d] * z)
+ * or old + (0.0 + sigma[d] * z).  Those are the values and the RNG
+ * state a per-coordinate rng.gaussian(0.0, sigma[d]) loop in that order
+ * leaves (ParticleCloud.BatchedDrawsMatchPerElementDraws), so a kernel
+ * that moved from such a loop changed no output bit.
+ *
+ * The passes allocate nothing per call: the scratch they need (weigh's
+ * log-weights, mean's and resample's snapshots, propagate's normals)
+ * is per thread and grows to the largest cloud the thread has run.  It
+ * is not part of the cloud, so clones copy none of it.
  *
  * The weighted-mean estimates are cached per cloud object and
  * invalidated by any mutation.  A commit check whose sides were
@@ -28,8 +41,9 @@
 #ifndef REPRO_WORKLOADS_PARTICLE_FILTER_H
 #define REPRO_WORKLOADS_PARTICLE_FILTER_H
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/versioned_state.h"
@@ -104,33 +118,6 @@ class ParticleCloud
     }
 
     /**
-     * Rewrites every coordinate to fn(p, d, old_value), same visiting
-     * order as overwriteCoords().  On shared blocks the new values are
-     * written into fresh blocks while the old ones are read from the
-     * shared originals — no copy of the stale bytes.
-     */
-    template <typename Fn>
-    void
-    transformCoords(Fn &&fn)
-    {
-        invalidateEstimates();
-        buf_.transform(
-            0, coordBytes(),
-            [&](std::byte *dst, const std::byte *src, std::size_t bytes,
-                std::size_t rel) {
-                std::size_t i = rel / sizeof(double);
-                auto *out = reinterpret_cast<double *>(dst);
-                const auto *in = reinterpret_cast<const double *>(src);
-                for (std::size_t k = 0; k < bytes / sizeof(double);
-                     ++k, ++i) {
-                    out[k] = fn(static_cast<unsigned>(i / numDims),
-                                static_cast<unsigned>(i % numDims),
-                                in[k]);
-                }
-            });
-    }
-
-    /**
      * Deterministic stratified spread over [lo, hi] per dimension — the
      * cold start of an alternative producer (no RNG: cold states must
      * be identical across runs).
@@ -141,6 +128,19 @@ class ParticleCloud
      *  resets weights — the informed initial state. */
     void collapseTo(const std::vector<double> &center);
 
+    /**
+     * Rewrites every coordinate of dimension d to center[d] plus
+     * Gaussian noise of sigma[d] (see the file comment for the draw
+     * order).  Whole blocks are swapped in fresh, so reseeding a shared
+     * clone copies nothing.
+     */
+    void reseed(util::Rng &rng, std::span<const double> center,
+                std::span<const double> sigma);
+
+    /** Adds Gaussian jitter of sigma[d] to every coordinate of
+     *  dimension d (draw order as for reseed()). */
+    void propagate(util::Rng &rng, std::span<const double> sigma);
+
     /** Adds Gaussian jitter of @p sigma to every coordinate. */
     void propagate(util::Rng &rng, double sigma);
 
@@ -149,11 +149,25 @@ class ParticleCloud
      * Uses the max-shift trick for numerical stability and mixes in a
      * uniform floor so the cloud survives outlier observations.
      *
-     * @param log_likelihood Maps particle index to log p(obs | particle).
+     * @param log_likelihood Maps particle index to log p(obs | particle);
+     *        called once per particle, in ascending order.  It may read
+     *        any cloud but must not weigh one: the log-weights live in
+     *        this thread's scratch until the weights are written.
      * @param floor Uniform mixture weight in [0, 1).
      */
-    void weigh(const std::function<double(unsigned)> &log_likelihood,
-               double floor = 1e-3);
+    template <typename LogLikelihood>
+    void
+    weigh(LogLikelihood &&log_likelihood, double floor = 1e-3)
+    {
+        invalidateEstimates();
+        const std::span<double> logw = logWeightScratch(numParticles);
+        double max_logw = -1e300;
+        for (unsigned p = 0; p < numParticles; ++p) {
+            logw[p] = log_likelihood(p);
+            max_logw = std::max(max_logw, logw[p]);
+        }
+        setWeightsFromLog(logw, max_logw, floor);
+    }
 
     /** Systematic (low-variance) resampling using one uniform draw. */
     void resample(util::Rng &rng);
@@ -212,12 +226,24 @@ class ParticleCloud
         meanValid_ = false;
     }
 
+    /** The first @p n elements of this thread's log-weight buffer. */
+    static std::span<double> logWeightScratch(unsigned n);
+
+    /** weigh()'s second half: weights exp(logw - max_logw) + floor,
+     *  normalized. */
+    void setWeightsFromLog(std::span<const double> logw, double max_logw,
+                           double floor);
+
+    /** propagate() with dimension d's sigma given by sigma_of(d). */
+    template <typename SigmaOf>
+    void propagateWith(util::Rng &rng, SigmaOf sigma_of);
+
     unsigned numParticles;
     unsigned numDims;
     core::VersionedBuffer buf_;
 
-    // Estimate cache: weighted means of all dims, filled by one
-    // particle-major pass.
+    // Estimate cache: weighted means of all dims, filled in place by
+    // one particle-major pass.
     mutable std::vector<double> meanCache_;
     mutable bool meanValid_ = false;
 };

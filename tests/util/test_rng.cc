@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -188,6 +190,33 @@ TEST(Rng, DrawsMatchPinnedValues)
     EXPECT_DOUBLE_EQ(r.gaussian(5.0, 2.0), 6.7809573447879101);
     EXPECT_DOUBLE_EQ(r.exponential(3.0), 0.2239203384193533);
     EXPECT_EQ(r.split(7)(), 10444714017876021430ULL);
+}
+
+TEST(Rng, GaussiansMatchSuccessiveGaussian)
+{
+    // The bulk fill must be the scalar draws, bit for bit, and leave the
+    // generator where they would: same raw draws consumed, same spare
+    // pending.  One odd gaussian() call first leaves a spare pending.
+    for (const std::size_t n :
+         {0u, 1u, 2u, 3u, 255u, 256u, 257u, 750u, 4097u}) {
+        for (const bool spare : {false, true}) {
+            Rng bulk(1000 + n), scalar(1000 + n);
+            if (spare) {
+                bulk.gaussian();
+                scalar.gaussian();
+            }
+            std::vector<double> out(n);
+            bulk.gaussians(out);
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                          std::bit_cast<std::uint64_t>(scalar.gaussian()))
+                    << "n " << n << " spare " << spare << " value " << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(bulk.gaussian()),
+                      std::bit_cast<std::uint64_t>(scalar.gaussian()))
+                << "n " << n << " spare " << spare;
+            EXPECT_EQ(bulk(), scalar()) << "n " << n << " spare " << spare;
+        }
+    }
 }
 
 TEST(Rng, SeedAccessor)

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 #include "workloads/particle_filter.h"
@@ -192,6 +197,84 @@ TEST(ParticleCloud, MeanCacheMatchesLegacyScanBitwise)
         ASSERT_EQ(c.mean(d), legacy) << "dim " << d;
     }
     EXPECT_TRUE(c.estimatesWarm());
+}
+
+TEST(ParticleCloud, BatchedDrawsMatchPerElementDraws)
+{
+    // reseed() and the per-dimension propagate() draw in bulk; each must
+    // leave the coordinates, the flags word and the RNG bit-identical to
+    // a per-coordinate rng.gaussian(0.0, sigma[d]) loop in (particle,
+    // dimension) order.  A fresh cloud transforms in place; a clone
+    // sharing every block takes the copy-on-write path, and its parent
+    // must not change.
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    const auto coordBits = [&](const ParticleCloud &c) {
+        std::vector<std::uint64_t> out;
+        for (unsigned p = 0; p < c.particles(); ++p) {
+            for (unsigned d = 0; d < c.dims(); ++d)
+                out.push_back(bits(c.coord(p, d)));
+        }
+        return out;
+    };
+    // (3000, 20) spans about 120 blocks.
+    for (const auto &[particles, dims] :
+         {std::pair{250u, 3u}, std::pair{3000u, 20u}}) {
+        std::vector<double> center(dims), sigma(dims);
+        for (unsigned d = 0; d < dims; ++d) {
+            center[d] = 10.0 + d;
+            sigma[d] = 0.5 + 0.25 * d;
+        }
+        const auto make = [&] {
+            ParticleCloud c(particles, dims);
+            c.spreadUniform(-50.0, 50.0);
+            c.setFlagsWord(0xF1A65);
+            return c;
+        };
+        const ParticleCloud parent = make();
+        const std::vector<std::uint64_t> before = coordBits(parent);
+
+        for (const bool shared : {false, true}) {
+            for (const bool reseed : {true, false}) {
+                const std::string what =
+                    std::to_string(particles) + "x" + std::to_string(dims) +
+                    (shared ? " clone" : " fresh") +
+                    (reseed ? " reseed" : " propagate");
+                ParticleCloud cloud = shared ? parent : make();
+                if (shared) {
+                    ASSERT_EQ(
+                        cloud.buffer().sharedBlocksWith(parent.buffer()),
+                        parent.buffer().numBlocks());
+                }
+                // One odd draw first, so the bulk draws start on a
+                // pending spare.
+                Rng rng(23), ref(23);
+                rng.gaussian();
+                ref.gaussian();
+                std::vector<std::uint64_t> expected;
+                for (unsigned p = 0; p < particles; ++p) {
+                    for (unsigned d = 0; d < dims; ++d) {
+                        const double base =
+                            reseed ? center[d] : parent.coord(p, d);
+                        expected.push_back(
+                            bits(base + ref.gaussian(0.0, sigma[d])));
+                    }
+                }
+                if (reseed)
+                    cloud.reseed(rng, center, sigma);
+                else
+                    cloud.propagate(rng, sigma);
+
+                EXPECT_TRUE(coordBits(cloud) == expected) << what;
+                EXPECT_EQ(cloud.flagsWord(), 0xF1A65u) << what;
+                Rng rng_next = rng, ref_next = ref;
+                EXPECT_EQ(rng_next(), ref_next()) << what;
+                EXPECT_EQ(bits(rng.gaussian()), bits(ref.gaussian()))
+                    << what;
+            }
+        }
+        EXPECT_TRUE(coordBits(parent) == before);
+        EXPECT_EQ(parent.flagsWord(), 0xF1A65u);
+    }
 }
 
 } // namespace
