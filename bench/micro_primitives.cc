@@ -5,13 +5,17 @@
  * branch-predictor throughput, discrete-event scheduling, the
  * state-copy cost model the paper singles out in §V-C, the
  * facedet-and-track kernel that batch-track runs, the streamclassifier
- * kernel and input generator that both serving workloads run, and the
- * e2e latency histogram every serving strand writes.
+ * kernel and input generator that both serving workloads run, the
+ * e2e latency histogram every serving strand writes, and the serving
+ * runtime's producer path, submit().
  */
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <chrono>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -20,6 +24,7 @@
 #include "perfmodel/branch.h"
 #include "perfmodel/cache.h"
 #include "platform/des.h"
+#include "serving/serving_runtime.h"
 #include "util/rng.h"
 #include "workloads/facedet_track.h"
 #include "workloads/particle_filter.h"
@@ -350,6 +355,84 @@ BM_LatencyHistogramObserveBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_LatencyHistogramObserveBatch)->Threads(1)->Threads(4);
+
+/** A one-counter state. */
+struct CountState : core::TypedState<CountState>
+{
+    double value = 0.0;
+};
+
+/** The cheapest state dependence: its strands take little of the pool
+ *  from the producer BM_ServingSubmit times, and its stream does not
+ *  run out. */
+class CountModel : public core::IStateModel
+{
+  public:
+    std::string name() const override { return "count"; }
+    std::size_t numInputs() const override { return std::size_t{1} << 40; }
+
+    core::StateHandle
+    initialState() const override
+    {
+        return std::make_unique<CountState>();
+    }
+
+    core::StateHandle
+    coldState() const override
+    {
+        return std::make_unique<CountState>();
+    }
+
+    double
+    update(core::State &state, std::size_t, core::ExecContext &) const override
+    {
+        return ++static_cast<CountState &>(state).value;
+    }
+
+    bool
+    matches(const core::State &, const core::State &) const override
+    {
+        return true;
+    }
+
+    std::size_t stateSizeBytes() const override { return sizeof(double); }
+};
+
+void
+BM_ServingSubmit(benchmark::State &state)
+{
+    // Accepted submit() calls into 16 sessions with serve-*'s ring and
+    // budget, in bursts of 1024 per session (the saturation probe's
+    // top-up), while the background coordinator closes chunks and the
+    // pool runs them.  Timing pauses while a full ring drains.
+    constexpr std::size_t kSessions = 16;
+    constexpr std::size_t kBurst = 1024;
+    const CountModel model;
+    serving::ServingRuntime runtime;
+    std::vector<serving::SessionId> ids;
+    for (std::size_t i = 0; i < kSessions; ++i) {
+        serving::SessionConfig cfg;
+        cfg.seed = i;
+        cfg.queueCapacity = 4096;
+        cfg.latencyBudget = std::chrono::milliseconds(20);
+        ids.push_back(runtime.admit(model, cfg));
+    }
+    std::size_t submitted = 0;
+    for (auto _ : state) {
+        const serving::SessionId id = ids[submitted++ / kBurst % kSessions];
+        const serving::SubmitResult result = runtime.submit(id);
+        benchmark::DoNotOptimize(result);
+        if (result.status != serving::SubmitStatus::Accepted) {
+            state.PauseTiming();
+            while (runtime.submit(id).status !=
+                   serving::SubmitStatus::Accepted)
+                std::this_thread::yield();
+            state.ResumeTiming();
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServingSubmit);
 
 } // namespace
 

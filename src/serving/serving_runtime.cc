@@ -1,5 +1,6 @@
 #include "serving/serving_runtime.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <deque>
@@ -51,16 +52,8 @@ struct ServingMetrics
     metrics::LatencyHistogram &chunkProcess;
 };
 
-/** An input in flight between submit() and chunk closure: its
- *  session-clock enqueue stamp (possibly a fake clock) and stream
- *  index.  Inputs record no span of their own: the chunk_close span
- *  of the chunk they land in starts at its oldest input's stamp, and
- *  per-input latency lives in serving.e2e_latency_seconds. */
-struct InputToken
-{
-    TimePoint stamp;
-    std::uint64_t index = 0; //!< Stream index of the input.
-};
+/** Next ServingRuntime uid: an address may be reused, a uid is not. */
+std::atomic<std::uint64_t> g_nextRuntimeUid{1};
 
 /** The knobs a session starts with. */
 SessionTuning
@@ -123,9 +116,8 @@ struct Session
     Session(SessionId sid, const core::IStateModel &m, SessionConfig c,
             std::function<TimePoint()> clk)
         : id(sid), cfg(std::move(c)), numInputs(m.numInputs()),
-          clock(std::move(clk)),
-          active(initialTuning(cfg)), pipeline(m, cfg.stats, cfg.seed),
-          ring(cfg.queueCapacity)
+          clock(std::move(clk)), ring(cfg.queueCapacity),
+          active(initialTuning(cfg)), pipeline(m, cfg.stats, cfg.seed)
     {
     }
 
@@ -142,17 +134,26 @@ struct Session
 
     // ---- Producer side (one thread) --------------------------------
     std::atomic<bool> draining{false};
+    std::atomic<bool> evicted{false}; //!< Submit caches miss it.
     std::atomic<std::uint64_t> accepted{0};
     std::atomic<std::uint64_t> rejected{0};
 
+    /** The only queue: each accepted input's session-clock enqueue
+     *  stamp, at the position equal to its stream index, until its
+     *  result is delivered.  Inputs record no span of their own: their
+     *  chunk_close span starts at the oldest one's stamp, and per-input
+     *  latency lives in serving.e2e_latency_seconds. */
+    util::SpscRing<TimePoint> ring;
+
     // ---- Consumer side (coordinator / poll / drain, serialized by
     //      consumerMu) --------------------------------------------------
-    /** One closed-but-unprocessed chunk: the input tokens (enqueue
-     *  stamps the strand turns into e2e latencies) and the closure's
-     *  own span for causal links. */
+    /** One closed-but-unprocessed chunk: ring positions [first, first +
+     *  count), whose stamps the strand turns into e2e latencies, and
+     *  the closure's own span for causal links. */
     struct ClosedChunk
     {
-        std::vector<InputToken> tokens;
+        std::uint64_t first = 0; //!< Ring position of the oldest input.
+        std::size_t count = 0;
         bool deadline = false;
         std::uint64_t closeSpan = 0; //!< ChunkClose span (0 untraced).
         /** STATS parameters this chunk was closed under; the strand
@@ -163,7 +164,10 @@ struct Session
     };
 
     std::mutex consumerMu;
-    std::vector<InputToken> open;   //!< Queued tokens, oldest first.
+    /** Ring positions [closedEnd, seen) are the open chunk: inputs the
+     *  consumer has seen and not yet closed. */
+    std::uint64_t seen = 0;
+    std::uint64_t closedEnd = 0;
     std::deque<ClosedChunk> closed; //!< Closed, awaiting the strand.
     SessionTuning active;           //!< Knobs of the open chunk.
     SessionTuning pending;          //!< Requested knobs, if any.
@@ -179,7 +183,6 @@ struct Session
     std::atomic<std::uint64_t> commits{0};
     std::atomic<std::uint64_t> aborts{0};
     std::atomic<std::uint64_t> outputsDelivered{0};
-    util::SpscRing<InputToken> ring;
 
     // ---- Drain handshake -------------------------------------------
     std::mutex drainMu;
@@ -193,31 +196,26 @@ namespace {
 
 using detail::Session;
 
+/** The session a thread submitted to last (serving_runtime.h). */
+struct SubmitCache
+{
+    std::uint64_t runtime = 0; //!< ServingRuntime uid.
+    SessionId id = 0;
+    std::shared_ptr<Session> session;
+};
+thread_local SubmitCache t_submitCache;
+
 /** Lands the pending knob swap if the stream is at a chunk boundary
  *  (no open inputs).  Caller holds consumerMu. */
 void
 applyPendingLocked(Session &s)
 {
-    if (!s.hasPending || !s.open.empty())
+    if (!s.hasPending || s.seen != s.closedEnd)
         return;
     s.active = s.pending;
     s.hasPending = false;
     s.retunesApplied.fetch_add(1, std::memory_order_relaxed);
     servingMetrics().retunesApplied.inc();
-}
-
-/** Appends every queued input to the open chunk, closing on size as
- *  it fills.  Caller holds consumerMu. */
-void
-drainRingLocked(Session &s,
-                const std::function<void(bool deadline, bool drain)> &close)
-{
-    InputToken token;
-    while (s.ring.tryPop(token)) {
-        s.open.push_back(token);
-        if (s.open.size() >= s.active.chunkInputs)
-            close(false, false);
-    }
 }
 
 /** Moves the open chunk onto the closed queue.  Caller holds
@@ -226,14 +224,14 @@ void
 closeOpen(Session &s, bool deadline, bool drainClose)
 {
     auto &m = servingMetrics();
-    const std::size_t depth = s.open.size() + s.ring.size();
-    m.queueDepth.observe(static_cast<double>(depth));
+    m.queueDepth.observe(static_cast<double>(s.ring.pushed() - s.closedEnd));
     Session::ClosedChunk chunk;
-    chunk.tokens = std::move(s.open);
+    chunk.first = s.closedEnd;
+    chunk.count = s.seen - s.closedEnd;
     chunk.deadline = deadline;
     chunk.pipelineCfg.altWindowK = s.active.altWindowK;
     chunk.pipelineCfg.numOriginalStates = s.active.numOriginalStates;
-    s.open.clear();
+    s.closedEnd = s.seen;
     const std::uint64_t chunkIndex =
         s.chunksClosed.fetch_add(1, std::memory_order_relaxed);
     // The closure anchors the chunk's causal chain, and its span is
@@ -244,17 +242,17 @@ closeOpen(Session &s, bool deadline, bool drainClose)
     obs::Span close = rec.start(
         obs::SpanKind::ChunkClose, 0, s.id,
         static_cast<std::int64_t>(chunkIndex),
-        static_cast<std::int64_t>(chunk.tokens.front().index),
-        static_cast<std::uint32_t>(chunk.tokens.size()), deadline ? 1 : 0);
+        static_cast<std::int64_t>(chunk.first),
+        static_cast<std::uint32_t>(chunk.count), deadline ? 1 : 0);
     close.endNs = close.startNs;
     if (!s.clock)
         close.startNs = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                chunk.tokens.front().stamp.time_since_epoch())
+                s.ring.at(chunk.first).time_since_epoch())
                 .count());
     chunk.closeSpan = close.id;
     rec.record(close);
-    s.closed.push_back(std::move(chunk));
+    s.closed.push_back(chunk);
     if (deadline) {
         s.deadlineClosures.fetch_add(1, std::memory_order_relaxed);
         m.deadlineClosures.inc();
@@ -266,6 +264,29 @@ closeOpen(Session &s, bool deadline, bool drainClose)
     // The closure is a chunk boundary — the spot a requested knob swap
     // is allowed to land.
     applyPendingLocked(s);
+}
+
+/** Takes every input pushed since the last call into the open chunk,
+ *  closing it on size as it fills: at chunkInputs, or at the ring's
+ *  capacity, which a chunk of undelivered inputs could never pass.
+ *  Reads only the ring's head.  Caller holds consumerMu.
+ *  @return true when a chunk closed. */
+bool
+takePushedLocked(Session &s)
+{
+    const std::uint64_t head = s.ring.pushed();
+    bool closedAny = false;
+    for (;;) {
+        const std::size_t size =
+            std::min(s.active.chunkInputs, s.ring.capacity());
+        if (head - s.closedEnd < size)
+            break;
+        s.seen = s.closedEnd + size;
+        closeOpen(s, /*deadline=*/false, /*drainClose=*/false);
+        closedAny = true;
+    }
+    s.seen = head;
+    return closedAny;
 }
 
 /** The strand body: processes closed chunks in order until the queue
@@ -319,15 +340,13 @@ strandLoop(const std::shared_ptr<Session> &s)
             obs::SpanKind::ChunkProcess, chunk.closeSpan, s->id,
             static_cast<std::int64_t>(
                 s->chunksProcessed.load(std::memory_order_relaxed)),
-            chunk.tokens.empty()
-                ? -1
-                : static_cast<std::int64_t>(chunk.tokens.front().index),
-            static_cast<std::uint32_t>(chunk.tokens.size()));
+            static_cast<std::int64_t>(chunk.first),
+            static_cast<std::uint32_t>(chunk.count));
         s->pipeline.setTraceContext(s->id, procSpan.id);
         SessionPipeline::ChunkResult result;
         {
             const metrics::ScopedTimer timer(m.chunkProcess);
-            result = s->pipeline.processChunk(chunk.tokens.size());
+            result = s->pipeline.processChunk(chunk.count);
         }
         rec.finish(procSpan);
         s->chunksProcessed.fetch_add(1, std::memory_order_relaxed);
@@ -357,18 +376,22 @@ strandLoop(const std::shared_ptr<Session> &s)
         const TimePoint done = s->now();
         std::array<double, kE2eBatch> e2e{};
         std::size_t pending = 0;
-        for (const InputToken &token : chunk.tokens) {
-            e2e[pending++] =
-                std::chrono::duration<double>(done - token.stamp).count();
+        for (std::size_t i = 0; i < chunk.count; ++i) {
+            e2e[pending++] = std::chrono::duration<double>(
+                                 done - s->ring.at(chunk.first + i))
+                                 .count();
             if (pending == e2e.size()) {
                 m.e2eLatency.observe(e2e);
                 pending = 0;
             }
         }
         m.e2eLatency.observe(std::span<const double>(e2e.data(), pending));
-        s->outputsDelivered.fetch_add(chunk.tokens.size(),
+        // Free the slots before the counters report the delivery, so a
+        // producer waiting on the counters finds the room.
+        s->ring.pop(chunk.count);
+        s->outputsDelivered.fetch_add(chunk.count,
                                       std::memory_order_relaxed);
-        m.outputsDelivered.inc(chunk.tokens.size());
+        m.outputsDelivered.inc(chunk.count);
     }
 
     // Retire, wake any drainer, and re-arm if a closure raced in
@@ -398,7 +421,8 @@ waitIdle(Session &s)
 } // namespace
 
 ServingRuntime::ServingRuntime(ServingOptions options)
-    : opts_(std::move(options))
+    : opts_(std::move(options)),
+      uid_(g_nextRuntimeUid.fetch_add(1, std::memory_order_relaxed))
 {
     if (opts_.backgroundCoordinator)
         coordinator_ = std::thread([this] { coordinatorLoop(); });
@@ -419,8 +443,10 @@ ServingRuntime::~ServingRuntime()
     std::vector<std::shared_ptr<detail::Session>> victims;
     {
         const std::lock_guard<std::mutex> lock(sessionsMu_);
-        for (auto &entry : sessions_)
+        for (auto &entry : sessions_) {
+            entry.second->evicted.store(true, std::memory_order_release);
             victims.push_back(entry.second);
+        }
         sessions_.clear();
     }
     auto &m = servingMetrics();
@@ -470,27 +496,30 @@ ServingRuntime::find(SessionId id) const
 SubmitResult
 ServingRuntime::submit(SessionId id)
 {
-    const std::shared_ptr<detail::Session> s = find(id);
-    if (!s)
-        return {SubmitStatus::UnknownSession, 0};
-    if (s->draining.load(std::memory_order_acquire))
-        return {SubmitStatus::Draining, s->ring.size()};
-    if (s->accepted.load(std::memory_order_relaxed) >= s->numInputs)
-        return {SubmitStatus::Exhausted, s->ring.size()};
-    auto &m = servingMetrics();
-    // accepted is only ever bumped by this function and submit() is
-    // single-producer per session, so the relaxed read *is* the next
-    // stream index.
-    const std::uint64_t index =
-        s->accepted.load(std::memory_order_relaxed);
-    if (!s->ring.tryPush({s->now(), index})) {
-        s->rejected.fetch_add(1, std::memory_order_relaxed);
-        m.inputsRejected.inc();
-        return {SubmitStatus::Backpressure, s->ring.size()};
+    SubmitCache &cache = t_submitCache;
+    if (cache.runtime != uid_ || cache.id != id || !cache.session ||
+        cache.session->evicted.load(std::memory_order_acquire)) {
+        cache = {uid_, id, find(id)};
+        if (!cache.session)
+            return {SubmitStatus::UnknownSession, 0};
     }
-    s->accepted.fetch_add(1, std::memory_order_relaxed);
+    Session &s = *cache.session;
+    if (s.draining.load(std::memory_order_acquire))
+        return {SubmitStatus::Draining, s.ring.size()};
+    // Only this function advances accepted, and a session has one
+    // producer, so the relaxed read *is* the next stream index.
+    const std::uint64_t index = s.accepted.load(std::memory_order_relaxed);
+    if (index >= s.numInputs)
+        return {SubmitStatus::Exhausted, s.ring.size()};
+    auto &m = servingMetrics();
+    if (!s.ring.tryPush(s.now())) {
+        s.rejected.fetch_add(1, std::memory_order_relaxed);
+        m.inputsRejected.inc();
+        return {SubmitStatus::Backpressure, s.ring.size()};
+    }
+    s.accepted.store(index + 1, std::memory_order_relaxed);
     m.inputsSubmitted.inc();
-    return {SubmitStatus::Accepted, s->ring.size()};
+    return {SubmitStatus::Accepted, s.ring.size()};
 }
 
 bool
@@ -502,13 +531,11 @@ ServingRuntime::closeChunk(SessionId id)
     bool closedSomething = false;
     {
         const std::lock_guard<std::mutex> lock(s->consumerMu);
-        const auto close = [&](bool deadline, bool drainClose) {
-            closeOpen(*s, deadline, drainClose);
+        closedSomething = takePushedLocked(*s);
+        if (s->seen != s->closedEnd) {
+            closeOpen(*s, /*deadline=*/false, /*drainClose=*/false);
             closedSomething = true;
-        };
-        drainRingLocked(*s, close);
-        if (!s->open.empty())
-            close(false, false);
+        }
     }
     scheduleStrandIfWork(s);
     return closedSomething;
@@ -524,10 +551,9 @@ ServingRuntime::drain(SessionId id)
         !s->draining.exchange(true, std::memory_order_acq_rel);
     {
         const std::lock_guard<std::mutex> lock(s->consumerMu);
-        drainRingLocked(*s,
-                        [&](bool d, bool) { closeOpen(*s, d, false); });
-        if (!s->open.empty())
-            closeOpen(*s, false, true);
+        takePushedLocked(*s);
+        if (s->seen != s->closedEnd)
+            closeOpen(*s, /*deadline=*/false, /*drainClose=*/true);
     }
     scheduleStrandIfWork(s);
     waitIdle(*s);
@@ -546,6 +572,7 @@ ServingRuntime::evict(SessionId id)
     if (!s)
         return;
     drain(id);
+    s->evicted.store(true, std::memory_order_release);
     {
         const std::lock_guard<std::mutex> lock(sessionsMu_);
         sessions_.erase(id);
@@ -595,9 +622,9 @@ void
 ServingRuntime::pollSession(detail::Session &s, TimePoint nowStamp)
 {
     const std::lock_guard<std::mutex> lock(s.consumerMu);
-    drainRingLocked(s, [&](bool d, bool) { closeOpen(s, d, false); });
-    if (s.cfg.latencyBudget.count() > 0 && !s.open.empty() &&
-        nowStamp - s.open.front().stamp >= s.cfg.latencyBudget)
+    takePushedLocked(s);
+    if (s.cfg.latencyBudget.count() > 0 && s.seen != s.closedEnd &&
+        nowStamp - s.ring.at(s.closedEnd) >= s.cfg.latencyBudget)
         closeOpen(s, /*deadline=*/true, /*drainClose=*/false);
 }
 

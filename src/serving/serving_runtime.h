@@ -12,25 +12,38 @@
  * process-wide worker pool.
  *
  * Data path of one input:
- *  1. The session's producer calls submit(): the input token (its
- *     enqueue timestamp) is pushed onto the session's bounded SPSC
- *     ring (util/spsc_ring.h).  A full ring is *backpressure*: submit
+ *  1. The session's producer calls submit(): the input's enqueue
+ *     timestamp is pushed onto the session's bounded SPSC ring
+ *     (util/spsc_ring.h) at the position equal to its stream index.
+ *     The ring is the session's only queue: an input holds its slot
+ *     until its result is delivered, so a full ring — queueCapacity
+ *     accepted but undelivered inputs — is *backpressure*: submit
  *     returns SubmitStatus::Backpressure and the producer decides
  *     (retry, shed, slow down) — the runtime never blocks a producer
  *     and never drops silently.
- *  2. The coordinator thread drains rings into each session's open
- *     chunk and closes the chunk when it reaches the configured size
- *     — or, crucially, when the *age* of the oldest queued input
- *     exceeds the session's latency budget (deadline closure).  Idle
- *     sessions therefore still make progress and per-input p99
+ *  2. The coordinator thread reads each ring's head into the session's
+ *     open chunk and closes the chunk when it reaches
+ *     min(chunkInputs, queueCapacity) inputs (a larger chunk could
+ *     never fill) — or, crucially, when the *age* of the oldest open
+ *     input exceeds the session's latency budget (deadline closure).
+ *     Idle sessions therefore still make progress and per-input p99
  *     latency is bounded by budget + processing time, not by how long
- *     the stream takes to fill a chunk.
+ *     the stream takes to fill a chunk.  No input is copied.
  *  3. A closed chunk is appended to the session's strand queue and a
  *     strand task is scheduled on the pool (at most one per session
  *     in flight, so the pipeline sees chunks strictly in order while
  *     different sessions run genuinely in parallel).  The strand runs
- *     the STATS protocol for the chunk and delivers the committed
- *     outputs to the session's result callback.
+ *     the STATS protocol for the chunk, delivers the committed outputs
+ *     to the session's result callback, records the chunk's e2e
+ *     latencies from the ring's stamps, then pops its inputs.
+ *
+ * submit() caches, per thread, the session it submitted to last.  A hit
+ * takes no lock, copies no shared_ptr and hashes nothing.  Entries are
+ * keyed by a process-wide runtime uid, never the runtime's address, and
+ * evict() and ~ServingRuntime flag a session before dropping it, so a
+ * stale entry misses.  The cost: an entry keeps an evicted session's
+ * shell (its ring and pipeline object; eviction already returned its
+ * arena blocks) alive until the thread submits elsewhere or exits.
  *
  * Lifecycle: admit() -> submit()/results -> drain() (stop intake,
  * close the partial chunk, finish in-flight work, flush results) ->
@@ -94,7 +107,8 @@ enum class SubmitStatus : std::uint8_t
 struct SubmitResult
 {
     SubmitStatus status = SubmitStatus::UnknownSession;
-    std::size_t queueDepth = 0; //!< Ring occupancy after the call.
+    /** Accepted but undelivered inputs after the call (<= capacity). */
+    std::size_t queueDepth = 0;
 };
 
 /** One committed chunk of results, delivered to the session callback
@@ -146,10 +160,12 @@ struct SessionConfig
     std::uint64_t seed = 42;
 
     /** Size-based closure: a chunk closes when it holds this many
-     *  inputs.  Must be >= 1. */
+     *  inputs, or queueCapacity if that is smaller.  Must be >= 1. */
     std::size_t chunkInputs = 64;
 
-    /** Ingestion ring capacity; a full ring is backpressure. */
+    /** Bound on the session's accepted but undelivered inputs (its
+     *  ring); a full ring is backpressure until the strand delivers.
+     *  Chunks close on size at min(chunkInputs, queueCapacity). */
     std::size_t queueCapacity = 256;
 
     /** Deadline closure: close a non-empty open chunk once its oldest
@@ -221,16 +237,17 @@ class ServingRuntime
 
     /**
      * Offers one input to the session.  Producer-side; at most one
-     * producer thread per session (the ring is SPSC).
+     * producer thread per session (the ring is SPSC).  Takes no lock
+     * when this thread's last submit went to the same session.
      */
     SubmitResult submit(SessionId id);
 
     /**
      * Closes the session's open chunk now, regardless of size or age
      * (consumer-side; used by drain and by tests constructing exact
-     * closure traces).  Queued ring inputs are drained into the chunk
-     * first.  @return false when there was nothing to close or the
-     * session is unknown.
+     * closure traces).  Inputs pushed since the last poll join the
+     * open chunk first, closing on size as they do.  @return false
+     * when there was nothing to close or the session is unknown.
      */
     bool closeChunk(SessionId id);
 
@@ -249,10 +266,11 @@ class ServingRuntime
     void evict(SessionId id);
 
     /**
-     * One coordinator iteration on the calling thread: drain every
-     * ring, apply size and deadline closures, schedule strands.  The
-     * manual-pump counterpart of the background coordinator (also safe
-     * alongside it — consumer-side work is serialized per session).
+     * One coordinator iteration on the calling thread: read every
+     * ring's head, apply size and deadline closures, schedule strands.
+     * The manual-pump counterpart of the background coordinator (also
+     * safe alongside it — consumer-side work is serialized per
+     * session).
      */
     void poll();
 
@@ -293,6 +311,7 @@ class ServingRuntime
     std::chrono::steady_clock::time_point now() const;
 
     const ServingOptions opts_;
+    const std::uint64_t uid_; //!< Process-wide; keys the submit cache.
 
     mutable std::mutex sessionsMu_;
     std::unordered_map<SessionId, std::shared_ptr<detail::Session>>

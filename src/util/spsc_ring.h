@@ -3,23 +3,27 @@
  * Bounded single-producer/single-consumer ring buffer.
  *
  * The serving runtime (serving/serving_runtime.h) gives every session a
- * bounded ingestion queue: the session's producer thread pushes input
- * tokens, the coordinator thread pops them into chunks.  Exactly one
- * thread pushes and exactly one thread pops, so the queue needs no
- * locks — head and tail are single-writer atomics, and a full ring is
- * reported to the producer as backpressure instead of blocking it.
+ * bounded queue: the session's producer thread pushes input stamps and
+ * the consumer side reads them in place by position, freeing them once
+ * their results are delivered.  One thread pushes and one thread at a
+ * time frees, so the queue needs no locks — head and tail are
+ * single-writer atomics, and a full ring is reported to the producer as
+ * backpressure instead of blocking it.  Positions count pushes: the
+ * n-th value pushed sits at position n - 1.
  *
  * Concurrency contract:
  *  - tryPush may be called by one thread at a time (the producer).
- *  - tryPop may be called by one thread at a time (the consumer).
+ *  - tryPop/pop may be called by one thread at a time (the consumer).
+ *  - at(pos) may read a queued position from any thread that has seen
+ *    pushed() > pos (itself or through a happens-before edge), until
+ *    pop frees it.
  *  - Producer and consumer may run concurrently with each other.
  *  - size()/empty() are safe from any thread but only approximate
  *    while both sides are active (each side's own view is exact).
  *
  * The capacity is rounded up to a power of two so index wrapping is a
  * mask, and one slot is never left unused: a ring of capacity N
- * accepts exactly N elements before reporting full (head/tail are
- * monotonically increasing counters, not wrapped indices).
+ * accepts exactly N elements before reporting full.
  */
 
 #ifndef REPRO_UTIL_SPSC_RING_H
@@ -27,7 +31,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "util/log.h"
@@ -35,7 +38,7 @@
 namespace repro::util {
 
 /**
- * Fixed-capacity wait-free SPSC queue of trivially movable values.
+ * Fixed-capacity wait-free SPSC queue of trivially copyable values.
  */
 template <typename T>
 class SpscRing
@@ -72,6 +75,26 @@ class SpscRing
         return true;
     }
 
+    /** One past the newest queued position; reading it lets the
+     *  reader at() every queued position below it. */
+    std::size_t
+    pushed() const
+    {
+        return head_.load(std::memory_order_acquire);
+    }
+
+    /** The value at a queued position (see the contract above). */
+    const T &at(std::size_t pos) const { return slots_[pos & mask_]; }
+
+    /** Frees the @p n oldest positions.  Consumer-side only. */
+    void
+    pop(std::size_t n)
+    {
+        const std::size_t tail = tail_.load(std::memory_order_relaxed);
+        REPRO_ASSERT(n <= pushed() - tail, "SPSC ring pop past its head");
+        tail_.store(tail + n, std::memory_order_release);
+    }
+
     /**
      * Dequeues the oldest element into @p out.  Consumer-side only.
      * @return false when the ring is empty.
@@ -80,10 +103,10 @@ class SpscRing
     tryPop(T &out)
     {
         const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        if (tail == head_.load(std::memory_order_acquire))
+        if (tail == pushed())
             return false;
-        out = std::move(slots_[tail & mask_]);
-        tail_.store(tail + 1, std::memory_order_release);
+        out = at(tail);
+        pop(1);
         return true;
     }
 

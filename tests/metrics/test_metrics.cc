@@ -3,11 +3,13 @@
  * Unit and concurrency tests for the always-on metrics subsystem
  * (metrics/metrics.h, metrics/export.h).  The concurrent cases run
  * under TSan in CI: snapshots taken while writers increment must be
- * race-free and monotonic.
+ * race-free and monotonic.  One test guards the instrument names that
+ * perfbench and the serving adaptor read from the registry.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -16,8 +18,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/native_runtime.h"
 #include "metrics/export.h"
 #include "metrics/metrics.h"
+#include "serving/serving_runtime.h"
+#include "workloads/workload.h"
 
 namespace {
 
@@ -448,6 +453,50 @@ TEST_F(MetricsTest, PrometheusExportShape)
     EXPECT_NE(text.find("repro_test_prom_lat_bucket{le=\"+Inf\"}"),
               std::string::npos);
     EXPECT_NE(text.find("repro_test_prom_lat_count"), std::string::npos);
+}
+
+TEST(Metrics, BenchmarkReadInstrumentsExist)
+{
+    // perfbench leaves a metric out of its result line when the
+    // registry counter behind it is gone, and the serving adaptor reads
+    // a missing name as zero: every name either reads must exist once a
+    // batch run and a served session have gone through the code that
+    // ticks it.
+    const auto workload = repro::workloads::makeWorkload("facetrack", 0.1);
+    const auto &model = workload->model();
+    repro::core::StatsConfig config;
+    config.numChunks = 3;
+    config.altWindowK = 2;
+    config.numOriginalStates = 2;
+    (void)repro::core::NativeRuntime(2).run(model, config, 11);
+    {
+        repro::serving::ServingRuntime runtime;
+        repro::serving::SessionConfig cfg;
+        cfg.chunkInputs = 4;
+        const repro::serving::SessionId id = runtime.admit(model, cfg);
+        for (int i = 0; i < 8; ++i)
+            (void)runtime.submit(id);
+        runtime.evict(id);
+    }
+
+    const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+    const auto has = [](const auto &entries, const std::string &name) {
+        return std::any_of(entries.begin(), entries.end(),
+                           [&](const auto &e) { return e.first == name; });
+    };
+    for (const char *name :
+         {"pool.tasks_executed", "executor.nodes_run", "obs.spans_recorded",
+          "obs.dropped_spans", "state.bytes_copied", "state.blocks_shared",
+          "state.validation_blocks_compared",
+          "state.validation_blocks_skipped", "serving.chunks_committed",
+          "serving.chunks_aborted", "serving.outputs_delivered",
+          "serving.inputs_submitted", "serving.inputs_rejected",
+          "runtime.commit_match_first", "runtime.commit_match_replica",
+          "runtime.commit_match_none"})
+        EXPECT_TRUE(has(snap.counters, name)) << "counter " << name;
+    for (const char *name :
+         {"serving.chunk_process_seconds", "serving.queue_depth"})
+        EXPECT_TRUE(has(snap.histograms, name)) << "histogram " << name;
 }
 
 } // namespace

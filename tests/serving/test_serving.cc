@@ -3,23 +3,27 @@
  * ServingRuntime behaviour tests: session lifecycle, typed submit
  * backpressure, deterministic fake-clock deadline closure (clock jumps
  * included), closure-order invariance of outputs, e2e latency
- * accounting for a chunk larger than the strand's buffer, concurrent
- * multi-session traffic with its registry accounting, and BlockArena
- * reclamation at eviction.
+ * accounting for a chunk larger than the strand's buffer, the bounded
+ * queue (backpressure until delivery, size closure at the ring's
+ * capacity), the producer's per-thread session cache across eviction
+ * and runtimes, concurrent multi-session traffic with its registry
+ * accounting, and BlockArena reclamation at eviction.
  *
  * Every deterministic test runs with the background coordinator off
  * and pumps poll() manually against an injected fake clock, so closure
- * traces are exact and repeatable; only the concurrency test uses the
+ * traces are exact and repeatable; only the concurrency tests use the
  * real coordinator thread.  Death tests pin the input checks of
  * admit() and SessionPipeline::processChunk().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -78,6 +82,7 @@ struct Collector
     std::mutex mu;
     std::vector<double> outputs;
     std::vector<unsigned> chunkIndices;
+    std::vector<std::size_t> chunkSizes;
     unsigned deadlineChunks = 0;
 
     std::function<void(const ResultChunk &)>
@@ -86,6 +91,7 @@ struct Collector
         return [this](const ResultChunk &chunk) {
             const std::lock_guard<std::mutex> lock(mu);
             chunkIndices.push_back(chunk.chunkIndex);
+            chunkSizes.push_back(chunk.outputs.size());
             if (chunk.deadlineClosed)
                 ++deadlineChunks;
             outputs.insert(outputs.end(), chunk.outputs.begin(),
@@ -101,6 +107,59 @@ manualOptions(const FakeClock &clock)
     opts.backgroundCoordinator = false;
     opts.clock = clock.fn();
     return opts;
+}
+
+/** EmaModel whose update() waits until the test opens its gate, so a
+ *  strand can be held inside its first chunk. */
+class GatedModel : public EmaModel
+{
+  public:
+    using EmaModel::EmaModel;
+
+    double
+    update(repro::core::State &state, std::size_t input,
+           repro::core::ExecContext &ctx) const override
+    {
+        while (!open_.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        return EmaModel::update(state, input, ctx);
+    }
+
+    void open() { open_.store(true, std::memory_order_release); }
+
+  private:
+    std::atomic<bool> open_{false};
+};
+
+/** Waits (10 s at most) until the session has delivered every input it
+ *  accepted. */
+bool
+awaitDelivery(const ServingRuntime &runtime, SessionId id)
+{
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (Clock::now() < deadline) {
+        const auto stats = runtime.sessionStats(id);
+        if (stats.outputsDelivered == stats.submitted)
+            return true;
+        std::this_thread::yield();
+    }
+    return false;
+}
+
+/** Outputs of a fresh SessionPipeline fed @p chunkSizes: what a session
+ *  that delivered those chunks must have produced. */
+std::vector<double>
+replayChunks(const repro::core::IStateModel &model, const SessionConfig &cfg,
+             const std::vector<std::size_t> &chunkSizes)
+{
+    SessionPipeline replay(model, cfg.stats, cfg.seed);
+    std::vector<double> outputs;
+    for (const std::size_t size : chunkSizes) {
+        const auto chunk = replay.processChunk(size);
+        outputs.insert(outputs.end(), chunk.outputs.begin(),
+                       chunk.outputs.end());
+    }
+    return outputs;
 }
 
 TEST(ServingRuntime, LifecycleDeliversEveryAcceptedInput)
@@ -406,6 +465,242 @@ TEST(ServingRuntime, ClosureMechanismDoesNotChangeOutputs)
 
     manual.evict(a);
     timed.evict(b);
+}
+
+TEST(ServingRuntime, BackpressureHoldsUntilDelivery)
+{
+    // The ring is the session's only queue: an input holds its slot
+    // until its result is delivered, so closing chunks frees nothing
+    // and a held strand keeps the producer pushed back.
+    EmaModel::Config mc;
+    mc.inputs = 64;
+    mc.alpha = 0.2;
+    GatedModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+
+    Collector results;
+    SessionConfig cfg;
+    cfg.chunkInputs = 4;
+    cfg.queueCapacity = 16;
+    cfg.seed = 5;
+    cfg.onResult = results.fn();
+    const SessionId id = runtime.admit(model, cfg);
+
+    std::size_t maxDepth = 0;
+    const auto offer = [&] {
+        const auto r = runtime.submit(id);
+        maxDepth = std::max(maxDepth, r.queueDepth);
+        return r.status;
+    };
+    std::size_t accepted = 0;
+    while (accepted <= cfg.queueCapacity &&
+           offer() == SubmitStatus::Accepted)
+        ++accepted;
+    EXPECT_EQ(accepted, cfg.queueCapacity);
+
+    // Four chunks close, the strand blocks in the first one, and the
+    // ring stays full: nothing has been delivered.
+    runtime.poll();
+    EXPECT_EQ(runtime.sessionStats(id).chunksClosed, 4u);
+    const SubmitStatus held = offer();
+    EXPECT_EQ(held, SubmitStatus::Backpressure);
+    if (held == SubmitStatus::Accepted)
+        ++accepted;
+
+    // Drain with the ring still full: every accepted input comes out.
+    model.open();
+    runtime.drain(id);
+    const auto stats = runtime.sessionStats(id);
+    EXPECT_EQ(stats.submitted, accepted);
+    EXPECT_EQ(stats.outputsDelivered, stats.submitted);
+    EXPECT_LE(maxDepth, cfg.queueCapacity);
+
+    const std::lock_guard<std::mutex> lock(results.mu);
+    const std::vector<double> expected =
+        replayChunks(model, cfg, results.chunkSizes);
+    ASSERT_EQ(results.outputs.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(results.outputs[i], expected[i]) << "input " << i;
+    runtime.evict(id);
+}
+
+TEST(ServingRuntime, ChunkKnobAboveCapacityClosesAtCapacity)
+{
+    // A chunk knob the ring can never hold closes at the ring's
+    // capacity, so a session without a deadline keeps flowing.
+    EmaModel::Config mc;
+    mc.inputs = 128;
+    const EmaModel model(mc);
+    FakeClock clock;
+    ServingRuntime runtime(manualOptions(clock));
+
+    Collector results;
+    SessionConfig cfg;
+    cfg.chunkInputs = 64;
+    cfg.queueCapacity = 16;
+    cfg.seed = 8;
+    cfg.onResult = results.fn();
+    const SessionId id = runtime.admit(model, cfg);
+
+    constexpr std::uint64_t kRounds = 4;
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+        std::size_t accepted = 0;
+        while (accepted <= cfg.queueCapacity &&
+               runtime.submit(id).status == SubmitStatus::Accepted)
+            ++accepted;
+        EXPECT_EQ(accepted, cfg.queueCapacity) << "round " << round;
+        runtime.poll(); // A full ring is one closed chunk.
+        ASSERT_EQ(runtime.sessionStats(id).chunksClosed, round);
+        ASSERT_TRUE(awaitDelivery(runtime, id)) << "round " << round;
+    }
+    runtime.drain(id);
+    EXPECT_EQ(runtime.sessionStats(id).outputsDelivered,
+              kRounds * cfg.queueCapacity);
+
+    const std::lock_guard<std::mutex> lock(results.mu);
+    EXPECT_EQ(results.chunkSizes,
+              std::vector<std::size_t>(kRounds, cfg.queueCapacity));
+    const std::vector<double> expected =
+        replayChunks(model, cfg, results.chunkSizes);
+    ASSERT_EQ(results.outputs.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(results.outputs[i], expected[i]) << "input " << i;
+    runtime.evict(id);
+}
+
+TEST(ServingRuntime, SubmitFollowsEvictionAndRuntimeIdentity)
+{
+    // submit() remembers the session this thread submitted to last;
+    // eviction, a second runtime and a rebuilt runtime must each send
+    // the next submit to the right session.
+    EmaModel::Config mc;
+    mc.inputs = 64;
+    const EmaModel model(mc);
+    FakeClock clock;
+    SessionConfig cfg;
+    cfg.chunkInputs = 8;
+    cfg.queueCapacity = 64;
+
+    {
+        ServingRuntime runtime(manualOptions(clock));
+        const SessionId id = runtime.admit(model, cfg);
+        EXPECT_EQ(runtime.submit(id).status, SubmitStatus::Accepted);
+        runtime.evict(id);
+        EXPECT_EQ(runtime.submit(id).status, SubmitStatus::UnknownSession);
+    }
+
+    {
+        // Both runtimes number their first session 1.
+        ServingRuntime a(manualOptions(clock));
+        ServingRuntime b(manualOptions(clock));
+        ASSERT_EQ(a.admit(model, cfg), 1u);
+        ASSERT_EQ(b.admit(model, cfg), 1u);
+        for (int i = 0; i < 5; ++i) {
+            EXPECT_EQ(a.submit(1).status, SubmitStatus::Accepted);
+            if (i % 2 == 0) {
+                EXPECT_EQ(b.submit(1).status, SubmitStatus::Accepted);
+            }
+        }
+        EXPECT_EQ(a.sessionStats(1).submitted, 5u);
+        EXPECT_EQ(b.sessionStats(1).submitted, 3u);
+    }
+
+    {
+        // A runtime rebuilt in the same storage reuses the address and
+        // the session id of the one destroyed before it.
+        std::optional<ServingRuntime> runtime;
+        runtime.emplace(manualOptions(clock));
+        ASSERT_EQ(runtime->admit(model, cfg), 1u);
+        EXPECT_EQ(runtime->submit(1).status, SubmitStatus::Accepted);
+        runtime.reset();
+        runtime.emplace(manualOptions(clock));
+        ASSERT_EQ(runtime->admit(model, cfg), 1u);
+        EXPECT_EQ(runtime->submit(1).status, SubmitStatus::Accepted);
+        EXPECT_EQ(runtime->sessionStats(1).submitted, 1u);
+        runtime->drain(1);
+        EXPECT_EQ(runtime->sessionStats(1).outputsDelivered, 1u);
+    }
+}
+
+TEST(ServingRuntime, ProducersRaceAdmitAndEvict)
+{
+    // Two producers submit to their own sessions, mostly through their
+    // cached entries, while a third thread admits, feeds, drains and
+    // evicts other sessions, leaving its own entry stale every round.
+    EmaModel::Config mc;
+    mc.inputs = 512;
+    const EmaModel model(mc);
+    auto &registry = repro::metrics::MetricsRegistry::global();
+    const repro::metrics::MetricsSnapshot before = registry.snapshot();
+
+    ServingRuntime runtime; // Real background coordinator + real clock.
+    SessionConfig cfg;
+    cfg.chunkInputs = 16;
+    cfg.queueCapacity = 32;
+    cfg.latencyBudget = std::chrono::milliseconds(1);
+
+    constexpr int kProducers = 2;
+    constexpr std::uint64_t kInputs = 400;
+    std::vector<Collector> results(kProducers);
+    std::vector<SessionId> ids(kProducers);
+    for (int i = 0; i < kProducers; ++i) {
+        SessionConfig c = cfg;
+        c.seed = 2000 + static_cast<std::uint64_t>(i);
+        c.onResult = results[i].fn();
+        ids[i] = runtime.admit(model, c);
+    }
+
+    std::thread churn([&] {
+        for (int round = 0; round < 40; ++round) {
+            const SessionId id = runtime.admit(model, cfg);
+            for (int accepted = 0; accepted < 8;) {
+                if (runtime.submit(id).status == SubmitStatus::Accepted)
+                    ++accepted;
+                else
+                    std::this_thread::yield();
+            }
+            runtime.drain(id);
+            const auto stats = runtime.sessionStats(id);
+            EXPECT_EQ(stats.submitted, 8u);
+            EXPECT_EQ(stats.outputsDelivered, stats.submitted);
+            runtime.evict(id);
+            EXPECT_EQ(runtime.submit(id).status,
+                      SubmitStatus::UnknownSession);
+        }
+    });
+    std::vector<std::thread> producers;
+    for (int i = 0; i < kProducers; ++i) {
+        producers.emplace_back([&, i] {
+            std::uint64_t accepted = 0;
+            while (accepted < kInputs) {
+                if (runtime.submit(ids[i]).status == SubmitStatus::Accepted)
+                    ++accepted;
+                else
+                    std::this_thread::yield(); // Backpressure: retry.
+            }
+        });
+    }
+    for (std::thread &t : producers)
+        t.join();
+    churn.join();
+
+    for (int i = 0; i < kProducers; ++i) {
+        runtime.drain(ids[i]);
+        const auto stats = runtime.sessionStats(ids[i]);
+        EXPECT_EQ(stats.submitted, kInputs);
+        EXPECT_EQ(stats.outputsDelivered, kInputs);
+        runtime.evict(ids[i]);
+        const std::lock_guard<std::mutex> lock(results[i].mu);
+        EXPECT_EQ(results[i].outputs.size(), kInputs) << "session " << i;
+    }
+    EXPECT_EQ(runtime.activeSessions(), 0u);
+    const repro::metrics::MetricsSnapshot delta =
+        repro::metrics::snapshotDiff(before, registry.snapshot());
+    EXPECT_EQ(delta.counterValue("serving.inputs_submitted"),
+              kProducers * kInputs + 40 * 8);
+    EXPECT_EQ(delta.counterValue("serving.outputs_delivered"),
+              delta.counterValue("serving.inputs_submitted"));
 }
 
 TEST(ServingRuntime, ConcurrentSessionsDeliverIndependently)

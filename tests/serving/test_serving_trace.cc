@@ -89,7 +89,8 @@ serveFourChunks(const EmaModel &model, std::size_t chunkInputs)
     ServingRuntime runtime(opts);
     SessionConfig cfg;
     cfg.chunkInputs = 4096; // Never closes on size.
-    cfg.queueCapacity = chunkInputs;
+    // The ring holds inputs until delivery: up to all four chunks.
+    cfg.queueCapacity = 4 * chunkInputs;
     cfg.onResult = [&](const ResultChunk &r) {
         const std::lock_guard<std::mutex> lock(mu);
         run.deliveries.push_back(

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the bounded SPSC ring (util/spsc_ring.h): FIFO order,
  * exact capacity (including non-power-of-two), wrap-around over many
- * cycles, and a producer/consumer stress run that the TSan CI job
- * exercises for ordering bugs.
+ * cycles, the positional consumer calls (pushed, at, bulk pop), and a
+ * producer/consumer stress run that the TSan CI job exercises for
+ * ordering bugs.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +79,42 @@ TEST(SpscRing, WrapAroundPreservesOrderAcrossManyCycles)
     while (ring.tryPop(out))
         EXPECT_EQ(out, expect++);
     EXPECT_EQ(expect, next);
+}
+
+TEST(SpscRing, PositionalReadsAndBulkPopAcrossWrap)
+{
+    // Capacity 5 on 8 slots: the consumer reads queued values in place
+    // by position and frees them in bulk, lapping the slots many times.
+    SpscRing<std::uint64_t> ring(5);
+    const auto value = [](std::uint64_t pos) { return pos * 7 + 1; };
+    std::uint64_t next = 0;
+    std::uint64_t popped = 0;
+    for (int cycle = 0; cycle < 40; ++cycle) {
+        while (ring.tryPush(value(next)))
+            ++next;
+        ASSERT_EQ(ring.pushed(), next);
+        ASSERT_EQ(next - popped, ring.capacity());
+        for (std::uint64_t pos = popped; pos < ring.pushed(); ++pos)
+            ASSERT_EQ(ring.at(pos), value(pos)) << "position " << pos;
+
+        // pop(n) frees exactly n slots.
+        const std::size_t n = 1 + cycle % 5;
+        ring.pop(n);
+        popped += n;
+        EXPECT_EQ(ring.size(), ring.capacity() - n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(ring.tryPush(value(next)));
+            ++next;
+        }
+        EXPECT_FALSE(ring.tryPush(0));
+    }
+    EXPECT_GT(next, 10u * 8); // Ten laps of the slot array at least.
+
+    // tryPop carries on from where the bulk pops left the tail.
+    std::uint64_t out = 0;
+    ASSERT_TRUE(ring.tryPop(out));
+    EXPECT_EQ(out, value(popped));
+    EXPECT_EQ(ring.size(), ring.capacity() - 1);
 }
 
 TEST(SpscRing, ConcurrentProducerConsumerDeliversEverythingInOrder)
