@@ -1,8 +1,6 @@
 #include "adapt/controller.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string_view>
 
 #include "metrics/metrics.h"
 #include "util/log.h"
@@ -18,12 +16,10 @@ struct AdaptMetrics
 {
     metrics::Counter &windows;        //!< Observation windows consumed.
     metrics::Counter &decisions;      //!< Decisions produced (all apply).
-    metrics::Counter &stepUp;         //!< Applied knob growths.
-    metrics::Counter &stepDown;       //!< Applied knob shrinks.
+    metrics::Counter &stepUp;         //!< Applied chunk doublings.
+    metrics::Counter &stepDown;       //!< Applied chunk halvings.
     metrics::Counter &dwellViolations; //!< Applied inside a dwell (== 0).
-    metrics::Gauge &chunkInputs;      //!< Currently prescribed knobs.
-    metrics::Gauge &altWindowK;
-    metrics::Gauge &numOriginalStates;
+    metrics::Gauge &chunkInputs;      //!< Currently prescribed chunk.
 };
 
 AdaptMetrics &
@@ -37,8 +33,6 @@ adaptMetrics()
         reg.counter("adapt.step_down"),
         reg.counter("adapt.dwell_violations"),
         reg.gauge("adapt.chunk_inputs"),
-        reg.gauge("adapt.alt_window_k"),
-        reg.gauge("adapt.num_original_states"),
     };
     return m;
 }
@@ -69,67 +63,41 @@ ewma(double &acc, double sample, bool &seeded)
     seeded = true;
 }
 
+/** @p cfg's initial knobs, each clamped into [minKnobs, maxKnobs]. */
+SessionTuning
+clampedInitial(const ControllerConfig &cfg)
+{
+    SessionTuning t = cfg.initial;
+    t.chunkInputs = std::clamp(t.chunkInputs, cfg.minKnobs.chunkInputs,
+                               cfg.maxKnobs.chunkInputs);
+    t.altWindowK = std::clamp(t.altWindowK, cfg.minKnobs.altWindowK,
+                              cfg.maxKnobs.altWindowK);
+    t.numOriginalStates =
+        std::clamp(t.numOriginalStates, cfg.minKnobs.numOriginalStates,
+                   cfg.maxKnobs.numOriginalStates);
+    return t;
+}
+
 } // namespace
 
 FeedbackController::FeedbackController(ControllerConfig config)
-    : cfg_(std::move(config)), current_(clampKnobs(cfg_.initial))
+    : cfg_(std::move(config)), current_(clampedInitial(cfg_))
 {
     REPRO_ASSERT(cfg_.minKnobs.chunkInputs >= 1 &&
                      cfg_.minKnobs.altWindowK >= 1 &&
                      cfg_.minKnobs.numOriginalStates >= 1,
                  "knob lower bounds must be >= 1");
-    REPRO_ASSERT(cfg_.deadband >= 0.0, "deadband must be >= 0");
     // Export the starting point; later moves are deltas against it.
     auto &m = adaptMetrics();
     gaugeChunk_ = static_cast<std::int64_t>(current_.chunkInputs);
-    gaugeK_ = static_cast<std::int64_t>(current_.altWindowK);
-    gaugeR_ = static_cast<std::int64_t>(current_.numOriginalStates);
     m.chunkInputs.add(gaugeChunk_ - m.chunkInputs.value());
-    m.altWindowK.add(gaugeK_ - m.altWindowK.value());
-    m.numOriginalStates.add(gaugeR_ - m.numOriginalStates.value());
-}
-
-serving::SessionTuning
-FeedbackController::clampKnobs(const SessionTuning &tuning) const
-{
-    SessionTuning t = tuning;
-    t.chunkInputs = std::clamp(t.chunkInputs, cfg_.minKnobs.chunkInputs,
-                               cfg_.maxKnobs.chunkInputs);
-    t.altWindowK = std::clamp(t.altWindowK, cfg_.minKnobs.altWindowK,
-                              cfg_.maxKnobs.altWindowK);
-    t.numOriginalStates =
-        std::clamp(t.numOriginalStates, cfg_.minKnobs.numOriginalStates,
-                   cfg_.maxKnobs.numOriginalStates);
-    return t;
 }
 
 double
-FeedbackController::abortProbability(const SessionTuning &tuning) const
-{
-    // Calibrated abort fraction, shifted by how the candidate moves
-    // the two knobs that control it.  Growing the lookahead K gives
-    // the alternative producer more inputs to converge over (the
-    // short-memory property), so each +1 multiplies the residual
-    // mismatch probability by a decay factor; extra original-state
-    // replicas catch mismatches the first state misses, priced by the
-    // measured share of commit checks where only a replica matched.
-    constexpr double kLookaheadDecay = 0.6;
-    double p = abortFrac_;
-    const int dK = static_cast<int>(tuning.altWindowK) -
-                   static_cast<int>(current_.altWindowK);
-    p *= std::pow(kLookaheadDecay, dK);
-    const double share = std::clamp(replicaShare_, 0.0, 0.9);
-    const int dR = static_cast<int>(tuning.numOriginalStates) -
-                   static_cast<int>(current_.numOriginalStates);
-    p *= std::pow(1.0 - share, dR);
-    return std::clamp(p, 0.0, 0.95);
-}
-
-double
-FeedbackController::costPerInput(const SessionTuning &tuning, double b,
+FeedbackController::costPerInput(std::size_t chunkInputs, double b,
                                  bool saturated) const
 {
-    double L = static_cast<double>(tuning.chunkInputs);
+    double L = static_cast<double>(chunkInputs);
     // Unsaturated, with a latency budget: deadline closure caps the
     // inputs a chunk can actually gather at arrival * budget, so
     // growing the size threshold past that point buys nothing — score
@@ -142,16 +110,18 @@ FeedbackController::costPerInput(const SessionTuning &tuning, double b,
             1.0, arrivalPerSession_ * cfg_.latencyBudgetSeconds);
         L = std::min(L, deadlineL);
     }
-    const double pAbort = abortProbability(tuning);
+    // K and R never move, so the calibrated abort fraction is every
+    // candidate's abort probability.
+    const double pAbort = std::clamp(abortFrac_, 0.0, 0.95);
     // Per-input seconds: body work + boundary overhead amortized over
     // the chunk + expected re-execution of the whole chunk on abort.
-    double cost = b * (L + overheadInputs(tuning) + pAbort * L) / L;
+    double cost = b * (L + overheadInputs(current_) + pAbort * L) / L;
     // Latency feasibility: when unsaturated, a chunk whose processing
     // time alone exceeds the budget defeats deadline closure — scale
     // the score by the overshoot so smaller chunks win.
     if (!saturated && cfg_.latencyBudgetSeconds > 0.0) {
         const double processSeconds =
-            b * (L + overheadInputs(tuning) + pAbort * L);
+            b * (L + overheadInputs(current_) + pAbort * L);
         if (processSeconds > cfg_.latencyBudgetSeconds)
             cost *= processSeconds / cfg_.latencyBudgetSeconds;
     }
@@ -194,20 +164,10 @@ FeedbackController::observe(const WindowObservation &obs)
             static_cast<double>(obs.aborts) / chunks;
         bool abortSeeded = true;
         ewma(abortFrac_, std::min(abortSample, 1.0), abortSeeded);
-
-        const std::uint64_t nonFirst = obs.matchReplica + obs.matchNone;
-        if (nonFirst > 0) {
-            bool shareSeeded = true;
-            ewma(replicaShare_,
-                 static_cast<double>(obs.matchReplica) /
-                     static_cast<double>(nonFirst),
-                 shareSeeded);
-        }
-        quietWindows_ = obs.aborts == 0 ? quietWindows_ + 1 : 0;
     }
 
     // --- Hysteresis gates --------------------------------------------
-    if (windows_ < cfg_.warmupWindows || !calibrated_)
+    if (windows_ < kWarmupWindows || !calibrated_)
         return std::nullopt;
     if (dwellRemaining_ > 0) {
         --dwellRemaining_;
@@ -227,80 +187,40 @@ FeedbackController::observe(const WindowObservation &obs)
         obs.queueDepthP99 >
             2.0 * static_cast<double>(current_.chunkInputs);
 
-    // --- Candidate neighborhood (one bounded step per knob) ----------
-    struct Candidate
-    {
-        SessionTuning tuning;
-        const char *knob;
-        int direction;
-    };
-    std::vector<Candidate> candidates;
-    const auto push = [&](SessionTuning t, const char *knob, int dir) {
-        t = clampKnobs(t);
-        if (t != current_)
-            candidates.push_back({t, knob, dir});
-    };
-    {
-        SessionTuning t = current_;
-        t.chunkInputs = current_.chunkInputs * 2;
-        push(t, "chunk", +1);
-    }
-    {
-        SessionTuning t = current_;
-        t.chunkInputs = std::max<std::size_t>(1, current_.chunkInputs / 2);
-        push(t, "chunk", -1);
-    }
-    {
-        SessionTuning t = current_;
-        t.altWindowK = current_.altWindowK + 1;
-        push(t, "lookahead", +1);
-    }
-    if (quietWindows_ >= cfg_.kShrinkQuietWindows &&
-        current_.altWindowK > cfg_.minKnobs.altWindowK) {
-        SessionTuning t = current_;
-        t.altWindowK = current_.altWindowK - 1;
-        push(t, "lookahead", -1);
-    }
-    if (abortFrac_ > 0.01) {
-        // Replicas only help when commit checks actually fail.
-        SessionTuning t = current_;
-        t.numOriginalStates = current_.numOriginalStates + 1;
-        push(t, "replicas", +1);
-    }
-    if (current_.numOriginalStates > cfg_.minKnobs.numOriginalStates &&
-        replicaShare_ < 0.05) {
-        // Replicas almost never match: their K-per-boundary regen cost
-        // is pure overhead.
-        SessionTuning t = current_;
-        t.numOriginalStates = current_.numOriginalStates - 1;
-        push(t, "replicas", -1);
-    }
-
-    const double curCost = costPerInput(current_, b, saturated);
-    if (curCost <= 0.0 || candidates.empty())
+    // --- Candidates: the chunk doubled, then halved, clamped -------
+    const double curCost = costPerInput(current_.chunkInputs, b, saturated);
+    if (curCost <= 0.0)
         return std::nullopt;
-    const Candidate *best = nullptr;
+    std::size_t bestChunk = current_.chunkInputs;
+    int bestDirection = 0;
     double bestCost = curCost;
-    for (const Candidate &cand : candidates) {
-        const double cost = costPerInput(cand.tuning, b, saturated);
+    for (const int direction : {+1, -1}) {
+        const std::size_t chunk = std::clamp(
+            direction > 0 ? current_.chunkInputs * 2
+                          : current_.chunkInputs / 2,
+            cfg_.minKnobs.chunkInputs, cfg_.maxKnobs.chunkInputs);
+        if (chunk == current_.chunkInputs)
+            continue;
+        const double cost = costPerInput(chunk, b, saturated);
         if (cost < bestCost) {
             bestCost = cost;
-            best = &cand;
+            bestChunk = chunk;
+            bestDirection = direction;
         }
     }
-    if (best == nullptr)
+    if (bestDirection == 0)
         return std::nullopt;
     const double gain = (curCost - bestCost) / curCost;
-    if (gain < cfg_.deadband)
+    if (gain < kDeadband)
         return std::nullopt;
 
     // --- Decide -------------------------------------------------------
     Decision d;
     d.window = windows_;
     d.from = current_;
-    d.to = best->tuning;
-    d.knob = best->knob;
-    d.direction = best->direction;
+    d.to = current_;
+    d.to.chunkInputs = bestChunk;
+    d.direction = bestDirection;
     d.predictedGain = gain;
     m.decisions.inc();
     if (dwellRemaining_ != 0) {
@@ -312,18 +232,8 @@ FeedbackController::observe(const WindowObservation &obs)
     current_ = d.to;
     (d.direction > 0 ? m.stepUp : m.stepDown).inc();
     const auto chunk = static_cast<std::int64_t>(current_.chunkInputs);
-    const auto k = static_cast<std::int64_t>(current_.altWindowK);
-    const auto r = static_cast<std::int64_t>(current_.numOriginalStates);
     m.chunkInputs.add(chunk - gaugeChunk_);
-    m.altWindowK.add(k - gaugeK_);
-    m.numOriginalStates.add(r - gaugeR_);
     gaugeChunk_ = chunk;
-    gaugeK_ = k;
-    gaugeR_ = r;
-    // A shrink of K resets the quiet streak: the evidence that
-    // justified it was spent.
-    if (best->direction < 0 && std::string_view(best->knob) == "lookahead")
-        quietWindows_ = 0;
     dwellRemaining_ = cfg_.dwellWindows;
     decisions_.push_back(d);
     return d;

@@ -2,48 +2,37 @@
  * @file
  * Online feedback autotuning: the live-metrics controller.
  *
- * The autotuner (autotuner/tuner.h) explores the STATS design space
- * *offline*: profile, tune, run.  The configuration it ships goes
- * stale the moment traffic shifts — the serving layer keeps paying a
- * per-boundary overhead (alternative-producer replay of K inputs,
- * R-1 replica regenerations, state clones and comparisons) that was
- * priced for a different arrival rate.  FeedbackController closes the
- * loop at runtime, in the spirit of Prophet's runtime cost/benefit
- * decisions for speculative threads (PAPERS.md): it consumes windowed
- * deltas of the live metrics::MetricsRegistry and issues bounded step
- * adjustments to the three knobs of serving::SessionTuning.
+ * STATS picks its alternative-producer window K, original-state count
+ * R and chunk length offline (autotuner/tuner.h).  The chunk length
+ * goes stale the moment traffic shifts: each boundary costs an
+ * alternative-producer replay of K inputs per original state, plus
+ * clones and comparisons, amortized over chunks sized for another
+ * arrival rate.  FeedbackController closes that loop at runtime: it
+ * consumes windowed deltas of the live metrics::MetricsRegistry and
+ * doubles or halves the chunk length.  Like Prophet's runtime
+ * cost/benefit decisions for speculative threads (PAPERS.md), it
+ * prices only what it measures: per-input seconds, abort fraction and
+ * arrival rate, calibrated from each window and fed to the per-chunk
+ * cost categories the DES engine and the tuner's Objective price
+ * (the runtime-prediction shape of SNIPPETS.md #3).
  *
- * Scoring reuses the cost structure the offline stack already encodes:
- * the same per-chunk categories the DES engine prices and the tuner's
- * Objective simulates (chunk body work, alt-producer replay ~ K,
- * replica regeneration ~ K per extra original state, a fixed
- * clone+compare term, and re-execution work on abort), and the same
- * single-parameter neighborhood step the tuner's hill-climb strategy
- * explores.  The difference is the cost inputs: instead of simulated
- * cycles, the controller calibrates per-input seconds, abort fraction,
- * replica usefulness, and arrival rate from each metrics window —
- * runtime prediction driving scheduling, the cbs-with-runtime-
- * prediction shape (SNIPPETS.md #3).
+ * The controller moves the chunk length only.  Every decision carries
+ * the K and R of ControllerConfig::initial (after clamping);
+ * serving::ServingRuntime::retune() still moves them by hand.
  *
- * Stability (hysteresis) has two guards so the controller never flaps:
- *  - *dwell*: after any decision, at least ControllerConfig::
- *    dwellWindows observation windows must pass before the next one —
- *    the system gets time to exhibit the new configuration before
- *    being judged under it;
- *  - *deadband*: a move needs a predicted relative improvement of at
- *    least ControllerConfig::deadband, so noise-level differences
- *    never trigger a step.
- * adapt.dwell_violations counts decisions applied while a dwell was
- * still pending; by construction the count stays zero, and the
- * serving-adaptor tests gate on it as an invariant check.
+ * Three hysteresis guards keep it from flapping: the first
+ * kWarmupWindows windows only calibrate; ControllerConfig::dwellWindows
+ * windows must pass after a decision before the next one; and a move
+ * must predict a relative gain of at least kDeadband.
+ * adapt.dwell_violations counts decisions applied inside a dwell; by
+ * construction it stays zero, and the serving-adaptor tests gate on it.
  *
- * Every decision applies.  A caller freezes a knob by pinning it
- * (minKnobs == maxKnobs for that knob), so no candidate ever moves it.
- * Determinism: the controller only chooses knobs; the serving runtime
- * lands each applied decision at a session's next chunk boundary, so a
+ * Every decision applies; a caller freezes the chunk length by pinning
+ * it (minKnobs.chunkInputs == maxKnobs.chunkInputs).  The serving
+ * runtime lands each decision at a session's next chunk boundary, so a
  * serving run stays a pure function of (model, seed, closure trace,
  * knob trace), and a fresh SessionPipeline fed the same closure trace
- * and reconfigured at the same boundaries reproduces it bit for bit.
+ * reproduces it bit for bit.
  */
 
 #ifndef REPRO_ADAPT_CONTROLLER_H
@@ -58,41 +47,34 @@
 
 namespace repro::adapt {
 
-/** Controller parameters (see the file comment for the loop). */
+/**
+ * Controller parameters (see the file comment for the loop).  The three
+ * knob fields stay whole serving::SessionTuning values, the shape their
+ * callers (perfbench's serve-spike among them) already fill in.  The
+ * chunk halves of minKnobs and maxKnobs bound the chunk lengths the
+ * controller explores; their K and R halves only clamp initial.
+ */
 struct ControllerConfig
 {
-    /** Starting knobs (clamped into [minKnobs, maxKnobs]). */
+    /** Starting knobs, clamped into [minKnobs, maxKnobs].  Their K and
+     *  R are the K and R of every decision. */
     serving::SessionTuning initial;
 
-    /** Per-knob lower bounds of the explored space. */
+    /** Per-knob lower bounds. */
     serving::SessionTuning minKnobs{4, 1, 1};
 
-    /** Per-knob upper bounds of the explored space. */
+    /** Per-knob upper bounds. */
     serving::SessionTuning maxKnobs{512, 16, 4};
 
     /** Observation windows to hold after a decision before the next
-     *  decision may fire (hysteresis guard #1). */
+     *  decision may fire (the dwell guard). */
     unsigned dwellWindows = 2;
-
-    /** Minimum predicted relative cost improvement for a step
-     *  (hysteresis guard #2, the deadband). */
-    double deadband = 0.05;
 
     /** Per-input latency budget the serving session runs under; used
      *  to stop chunk growth past the point where deadline closure
      *  would cut chunks anyway.  0 disables latency shaping
      *  (pure-throughput scoring). */
     double latencyBudgetSeconds = 0.0;
-
-    /** Observation windows consumed before the first decision may
-     *  fire (the model needs calibration samples). */
-    unsigned warmupWindows = 2;
-
-    /** Consecutive abort-free windows required before the controller
-     *  may *shrink* the speculation lookahead K — shrinking K trades
-     *  boundary work against abort risk, so it needs evidence the
-     *  short-memory property currently has slack. */
-    unsigned kShrinkQuietWindows = 3;
 };
 
 /**
@@ -104,11 +86,7 @@ struct WindowObservation
     double seconds = 0.0;              //!< Window wall-clock length.
     std::uint64_t chunksProcessed = 0; //!< Chunks resolved in window.
     std::uint64_t inputsProcessed = 0; //!< Inputs those chunks held.
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t matchFirst = 0;   //!< Commit checks: final matched.
-    std::uint64_t matchReplica = 0; //!< ... a replica saved it.
-    std::uint64_t matchNone = 0;    //!< ... nothing matched (abort).
+    std::uint64_t aborts = 0;          //!< Chunks that re-executed.
     std::uint64_t inputsSubmitted = 0;
     std::uint64_t inputsRejected = 0;  //!< Backpressure in the window.
     double chunkSeconds = 0.0;      //!< Sum of chunk process times.
@@ -117,14 +95,13 @@ struct WindowObservation
 };
 
 /** One controller decision; each session lands it at its own next
- *  chunk boundary. */
+ *  chunk boundary.  from and to differ in chunkInputs only. */
 struct Decision
 {
     std::uint64_t window = 0; //!< Observation window that decided.
     serving::SessionTuning from;
     serving::SessionTuning to;
-    const char *knob = "none"; //!< "chunk" / "lookahead" / "replicas".
-    int direction = 0;         //!< +1 grow, -1 shrink.
+    int direction = 0;          //!< +1 doubles the chunk, -1 halves it.
     double predictedGain = 0.0; //!< Relative per-input cost reduction.
     bool applied = true;        //!< Always true: every decision applies.
 };
@@ -136,6 +113,14 @@ struct Decision
 class FeedbackController
 {
   public:
+    /** Minimum predicted relative cost improvement for a step (the
+     *  deadband guard). */
+    static constexpr double kDeadband = 0.05;
+
+    /** Observation windows consumed before the first decision may
+     *  fire (the model needs calibration samples). */
+    static constexpr unsigned kWarmupWindows = 2;
+
     explicit FeedbackController(ControllerConfig config);
 
     /**
@@ -157,10 +142,7 @@ class FeedbackController
     std::uint64_t dwellViolations() const { return dwellViolations_; }
 
   private:
-    serving::SessionTuning
-    clampKnobs(const serving::SessionTuning &tuning) const;
-    double abortProbability(const serving::SessionTuning &tuning) const;
-    double costPerInput(const serving::SessionTuning &tuning, double b,
+    double costPerInput(std::size_t chunkInputs, double b,
                         bool saturated) const;
 
     const ControllerConfig cfg_;
@@ -170,7 +152,6 @@ class FeedbackController
     std::uint64_t windows_ = 0;
     unsigned dwellRemaining_ = 0;
     std::uint64_t dwellViolations_ = 0;
-    unsigned quietWindows_ = 0;
 
     // Calibrated model terms (EWMA across windows; the decision itself
     // uses the median of the per-window samples accumulated since the
@@ -179,14 +160,11 @@ class FeedbackController
     bool calibrated_ = false;
     double perInput_ = 0.0;
     double abortFrac_ = 0.0;
-    double replicaShare_ = 0.25;
     double arrivalPerSession_ = 0.0;
     util::Histogram perInputWindow_{0.0, 0.1, 2000};
 
-    // Last exported per-knob gauge values (gauges are delta-driven).
+    // Last exported chunk gauge value (gauges are delta-driven).
     std::int64_t gaugeChunk_ = 0;
-    std::int64_t gaugeK_ = 0;
-    std::int64_t gaugeR_ = 0;
 };
 
 } // namespace repro::adapt

@@ -8,8 +8,7 @@ namespace repro::adapt {
 
 namespace {
 
-/** Folds the serving.* slice (plus the protocol core's commit-check
- *  match split) of one windowed registry delta into the
+/** Folds the serving.* slice of one windowed registry delta into the
  *  controller's observation shape. */
 WindowObservation
 foldServingWindow(const metrics::MetricsSnapshot &delta, double seconds,
@@ -17,13 +16,10 @@ foldServingWindow(const metrics::MetricsSnapshot &delta, double seconds,
 {
     WindowObservation obs;
     obs.seconds = seconds;
-    obs.commits = delta.counterValue("serving.chunks_committed");
     obs.aborts = delta.counterValue("serving.chunks_aborted");
-    obs.chunksProcessed = obs.commits + obs.aborts;
+    obs.chunksProcessed =
+        delta.counterValue("serving.chunks_committed") + obs.aborts;
     obs.inputsProcessed = delta.counterValue("serving.outputs_delivered");
-    obs.matchFirst = delta.counterValue("runtime.commit_match_first");
-    obs.matchReplica = delta.counterValue("runtime.commit_match_replica");
-    obs.matchNone = delta.counterValue("runtime.commit_match_none");
     obs.inputsSubmitted = delta.counterValue("serving.inputs_submitted");
     obs.inputsRejected = delta.counterValue("serving.inputs_rejected");
     obs.chunkSeconds =

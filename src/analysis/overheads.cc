@@ -59,6 +59,75 @@ balancedCopy(const TaskGraph &graph)
     return balanced;
 }
 
+/**
+ * The §V-B ladder (see overheads.h) on @p machine, against a
+ * sequential time of @p t_seq machine cycles.  The rungs up to
+ * imbalance re-simulate @p graph; the mispeculation rung re-simulates
+ * the balanced @p free_graph with re-execution removed as well.
+ * Sequential code is removed first: it lives outside the STATS region,
+ * and removing it first keeps its Amdahl cap from masking the
+ * execution-model overheads.  Each rung is clamped to the previous one
+ * (a removal can only help), so the per-category losses partition
+ * [actual, ideal] exactly.  Commits and aborts are the caller's.
+ */
+OverheadBreakdown
+ladder(const platform::MachineModel &machine, double t_seq,
+       const TaskGraph &graph, const TaskGraph &free_graph)
+{
+    OverheadBreakdown out;
+    out.idealSpeedup = static_cast<double>(machine.numCores);
+
+    auto speedup_of = [&](const TaskGraph &g, const SimOptions &opt) {
+        const double t = Simulator(machine, opt).run(g).makespan;
+        REPRO_ASSERT(t > 0.0, "zero makespan in what-if simulation");
+        return t_seq / t;
+    };
+
+    const SimOptions base;
+    const double s0 = speedup_of(graph, base);
+    out.actualSpeedup = s0;
+
+    const SimOptions no_seqcode = withoutKinds(base, {TaskKind::SeqCode});
+    const double s1 = std::max(s0, speedup_of(graph, no_seqcode));
+
+    const SimOptions no_sync = withoutKinds(no_seqcode, {TaskKind::Sync});
+    const double s2 = std::max(s1, speedup_of(graph, no_sync));
+
+    SimOptions no_extra = no_sync;
+    for (TaskKind k : kExtraKinds)
+        no_extra.kindCostScale[static_cast<std::size_t>(k)] = 0.0;
+    const double s3 = std::max(s2, speedup_of(graph, no_extra));
+
+    const double s4 =
+        std::max(s3, speedup_of(balancedCopy(graph), no_extra));
+
+    const SimOptions no_mispec =
+        withoutKinds(no_extra, {TaskKind::MispecReExec});
+    const double s5 =
+        std::min(out.idealSpeedup,
+                 std::max(s4, speedup_of(balancedCopy(free_graph),
+                                         no_mispec)));
+
+    const double ideal = out.idealSpeedup;
+    auto lost = [&](double hi, double lo) {
+        return std::max(0.0, (hi - lo) / ideal);
+    };
+    auto &frac = out.lostFraction;
+    frac[static_cast<std::size_t>(OverheadCategory::SequentialCode)] =
+        lost(s1, s0);
+    frac[static_cast<std::size_t>(OverheadCategory::Synchronization)] =
+        lost(s2, s1);
+    frac[static_cast<std::size_t>(OverheadCategory::ExtraComputation)] =
+        lost(s3, s2);
+    frac[static_cast<std::size_t>(OverheadCategory::Imbalance)] =
+        lost(s4, s3);
+    frac[static_cast<std::size_t>(OverheadCategory::Mispeculation)] =
+        lost(s5, s4);
+    frac[static_cast<std::size_t>(OverheadCategory::Unreachability)] =
+        lost(ideal, s5);
+    return out;
+}
+
 } // namespace
 
 const char *
@@ -91,12 +160,6 @@ OverheadAnalyzer::sequentialTime(const workloads::Workload &workload,
     return Simulator(machine_).run(seq.graph).makespan;
 }
 
-TaskGraph
-OverheadAnalyzer::balancedGraph(const TaskGraph &graph)
-{
-    return balancedCopy(graph);
-}
-
 OverheadBreakdown
 analyzeMeasuredGraph(const TaskGraph &graph, unsigned cores,
                      double sequential_seconds, unsigned commits,
@@ -105,64 +168,15 @@ analyzeMeasuredGraph(const TaskGraph &graph, unsigned cores,
     REPRO_ASSERT(cores > 0, "measured ladder needs at least one core");
     REPRO_ASSERT(sequential_seconds > 0.0,
                  "measured ladder needs a positive sequential time");
-    const platform::MachineModel machine =
-        platform::MachineModel::measured(cores);
     // Measured work units are microseconds; so are this machine's
-    // "cycles" (ghz = 1e-3 => seconds() divides by 1e6).
-    const double t_seq = sequential_seconds * 1e6;
-
-    OverheadBreakdown out;
-    out.idealSpeedup = static_cast<double>(cores);
+    // "cycles" (ghz = 1e-3 => seconds() divides by 1e6).  No autotuner
+    // re-run exists for a measured trace, so the mispeculation rung
+    // elides the re-execution tasks of the same graph.
+    OverheadBreakdown out =
+        ladder(platform::MachineModel::measured(cores),
+               sequential_seconds * 1e6, graph, graph);
     out.commits = commits;
     out.aborts = aborts;
-
-    auto speedup_of = [&](const TaskGraph &g, const SimOptions &opt) {
-        const double t = Simulator(machine, opt).run(g).makespan;
-        REPRO_ASSERT(t > 0.0, "zero makespan in what-if simulation");
-        return t_seq / t;
-    };
-
-    const SimOptions base;
-    const double s0 = speedup_of(graph, base);
-    out.actualSpeedup = s0;
-
-    const SimOptions no_seqcode = withoutKinds(base, {TaskKind::SeqCode});
-    const double s1 = std::max(s0, speedup_of(graph, no_seqcode));
-
-    const SimOptions no_sync = withoutKinds(no_seqcode, {TaskKind::Sync});
-    const double s2 = std::max(s1, speedup_of(graph, no_sync));
-
-    SimOptions no_extra = no_sync;
-    for (TaskKind k : kExtraKinds)
-        no_extra.kindCostScale[static_cast<std::size_t>(k)] = 0.0;
-    const double s3 = std::max(s2, speedup_of(graph, no_extra));
-
-    const TaskGraph balanced = balancedCopy(graph);
-    const double s4 = std::max(s3, speedup_of(balanced, no_extra));
-
-    const SimOptions no_mispec =
-        withoutKinds(no_extra, {TaskKind::MispecReExec});
-    const double s5 =
-        std::min(out.idealSpeedup,
-                 std::max(s4, speedup_of(balanced, no_mispec)));
-
-    const double ideal = out.idealSpeedup;
-    auto lost = [&](double hi, double lo) {
-        return std::max(0.0, (hi - lo) / ideal);
-    };
-    auto &frac = out.lostFraction;
-    frac[static_cast<std::size_t>(OverheadCategory::SequentialCode)] =
-        lost(s1, s0);
-    frac[static_cast<std::size_t>(OverheadCategory::Synchronization)] =
-        lost(s2, s1);
-    frac[static_cast<std::size_t>(OverheadCategory::ExtraComputation)] =
-        lost(s3, s2);
-    frac[static_cast<std::size_t>(OverheadCategory::Imbalance)] =
-        lost(s4, s3);
-    frac[static_cast<std::size_t>(OverheadCategory::Mispeculation)] =
-        lost(s5, s4);
-    frac[static_cast<std::size_t>(OverheadCategory::Unreachability)] =
-        lost(ideal, s5);
     return out;
 }
 
@@ -196,76 +210,15 @@ OverheadAnalyzer::analyze(const workloads::Workload &workload,
     const double t_seq = sequentialTime(workload, seed);
     const RunResult run =
         engine_.runStats(model, region, tlp, config, seed);
+    // Mispeculation-free counterfactual: enough chunks, all commits.
+    const RunResult free_run = engine_.runStats(
+        model, region, tlp, mispecFreeConfig(config, model.numInputs()),
+        seed, /*force_all_commit=*/true);
 
-    OverheadBreakdown out;
-    out.idealSpeedup = static_cast<double>(machine_.numCores);
+    OverheadBreakdown out =
+        ladder(machine_, t_seq, run.graph, free_run.graph);
     out.commits = run.commits;
     out.aborts = run.aborts;
-
-    auto speedup_of = [&](const TaskGraph &graph, const SimOptions &opt) {
-        const double t = Simulator(machine_, opt).run(graph).makespan;
-        REPRO_ASSERT(t > 0.0, "zero makespan in what-if simulation");
-        return t_seq / t;
-    };
-
-    // Ladder of counterfactuals (see header).  Sequential code is
-    // removed first: it lives outside the STATS region, and removing
-    // it first keeps its Amdahl cap from masking the execution-model
-    // overheads.  Each rung is clamped to the previous one (a removal
-    // can only help), so the per-category losses partition
-    // [actual, ideal] exactly.
-    const SimOptions base;
-    const double s0 = speedup_of(run.graph, base);
-    out.actualSpeedup = s0;
-
-    const SimOptions no_seqcode =
-        withoutKinds(base, {TaskKind::SeqCode});
-    const double s1 = std::max(s0, speedup_of(run.graph, no_seqcode));
-
-    const SimOptions no_sync =
-        withoutKinds(no_seqcode, {TaskKind::Sync});
-    const double s2 = std::max(s1, speedup_of(run.graph, no_sync));
-
-    SimOptions no_extra = no_sync;
-    for (TaskKind k : kExtraKinds) {
-        no_extra.kindCostScale[static_cast<std::size_t>(k)] = 0.0;
-    }
-    const double s3 = std::max(s2, speedup_of(run.graph, no_extra));
-
-    const TaskGraph balanced = balancedGraph(run.graph);
-    const double s4 = std::max(s3, speedup_of(balanced, no_extra));
-
-    // Mispeculation-free counterfactual: enough chunks, all commits,
-    // re-executions gone; same removals as step 4 plus the re-execution
-    // kind itself.
-    const StatsConfig free_cfg =
-        mispecFreeConfig(config, model.numInputs());
-    const RunResult free_run = engine_.runStats(
-        model, region, tlp, free_cfg, seed, /*force_all_commit=*/true);
-    const SimOptions no_mispec =
-        withoutKinds(no_extra, {TaskKind::MispecReExec});
-    const double s5 = std::min(
-        out.idealSpeedup,
-        std::max(s4, speedup_of(balancedGraph(free_run.graph),
-                                no_mispec)));
-
-    const double ideal = out.idealSpeedup;
-    auto lost = [&](double hi, double lo) {
-        return std::max(0.0, (hi - lo) / ideal);
-    };
-    auto &frac = out.lostFraction;
-    frac[static_cast<std::size_t>(OverheadCategory::SequentialCode)] =
-        lost(s1, s0);
-    frac[static_cast<std::size_t>(OverheadCategory::Synchronization)] =
-        lost(s2, s1);
-    frac[static_cast<std::size_t>(OverheadCategory::ExtraComputation)] =
-        lost(s3, s2);
-    frac[static_cast<std::size_t>(OverheadCategory::Imbalance)] =
-        lost(s4, s3);
-    frac[static_cast<std::size_t>(OverheadCategory::Mispeculation)] =
-        lost(s5, s4);
-    frac[static_cast<std::size_t>(OverheadCategory::Unreachability)] =
-        lost(ideal, s5);
     return out;
 }
 

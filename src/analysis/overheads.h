@@ -162,10 +162,6 @@ class OverheadAnalyzer
     const platform::MachineModel &machine() const { return machine_; }
 
   private:
-    /** Copy of @p graph with every chunk's body work set to the mean
-     *  across chunks (the perfect-balance counterfactual). */
-    static trace::TaskGraph balancedGraph(const trace::TaskGraph &graph);
-
     /** The mispeculation-free counterfactual configuration: enough
      *  chunks to fill the machine, window shrunk to stay valid. */
     core::StatsConfig

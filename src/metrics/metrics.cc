@@ -45,13 +45,6 @@ Counter::reset()
         cell.v.store(0, std::memory_order_relaxed);
 }
 
-void
-Gauge::reset()
-{
-    for (detail::Cell &cell : shards_)
-        cell.v.store(0, std::memory_order_relaxed);
-}
-
 int
 LatencyHistogram::bucketOf(double seconds)
 {
@@ -172,15 +165,6 @@ LatencyHistogram::snapshot() const
         bucket_total += c;
     snap.count = std::max(snap.count, bucket_total);
     return snap;
-}
-
-void
-LatencyHistogram::reset()
-{
-    for (auto &bucket : buckets_)
-        bucket.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sumNanos_.store(0, std::memory_order_relaxed);
 }
 
 namespace {
@@ -305,18 +289,6 @@ MetricsRegistry::snapshot() const
     for (const auto &[name, hist] : histograms_)
         snap.histograms.emplace_back(name, hist->snapshot());
     return snap;
-}
-
-void
-MetricsRegistry::resetAll()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, counter] : counters_)
-        counter->reset();
-    for (const auto &[name, gauge] : gauges_)
-        gauge->reset();
-    for (const auto &[name, hist] : histograms_)
-        hist->reset();
 }
 
 } // namespace repro::metrics

@@ -142,9 +142,6 @@ class Gauge
         return sum;
     }
 
-    /** Zeroes every shard (tests only). */
-    void reset();
-
   private:
     detail::Cell shards_[kShards];
 };
@@ -208,12 +205,12 @@ class LatencyHistogram
         /**
          * The *interval* view: observations recorded after @p prev was
          * taken and before this snapshot was.  Bucket counts subtract
-         * per bucket (clamped at zero, so a reset between snapshots
-         * degrades to "everything since the reset" instead of
-         * underflow), count is rebuilt from the delta buckets, and
-         * sumSeconds subtracts with the same clamp.  quantileSeconds
-         * on the result answers "p99 of this window", which is the
-         * windowed-rate primitive the feedback controller consumes.
+         * per bucket (clamped at zero, so a @p prev that is not an
+         * earlier snapshot of this histogram cannot underflow), count
+         * is rebuilt from the delta buckets, and sumSeconds subtracts
+         * with the same clamp.  quantileSeconds on the result answers
+         * "p99 of this window", which is the windowed-rate primitive
+         * the feedback controller consumes.
          * An empty window (no observations between the snapshots) has
          * count == 0 and quantileSeconds == 0.
          */
@@ -223,9 +220,6 @@ class LatencyHistogram
     /** Consistent-enough copy of the bucket counts (relaxed reads;
      *  concurrent observes may or may not be included). */
     Snapshot snapshot() const;
-
-    /** Zeroes the histogram (tests only). */
-    void reset();
 
   private:
     /** Bucket of a sample already clamped to >= 0. */
@@ -262,8 +256,8 @@ struct MetricsSnapshot
  *
  *  - counters report the *increase* cur - prev (an instrument that
  *    appears only in @p cur reports its full value; a counter that
- *    shrank — a resetAll between the snapshots — reports its current
- *    value rather than wrapping);
+ *    shrank — a Counter::reset() between the snapshots — reports its
+ *    current value rather than wrapping);
  *  - gauges report the *last* value (the one from @p cur), never a
  *    difference: a gauge is an instantaneous quantity, and "queue
  *    depth now" is the signal, "queue depth changed by -3" is not;
@@ -309,10 +303,6 @@ class MetricsRegistry
      *  window take snapshot() for the next prev themselves (one sweep
      *  serves both uses). */
     MetricsSnapshot snapshotDelta(const MetricsSnapshot &prev) const;
-
-    /** Zeroes every instrument's value; names stay registered.  For
-     *  tests and bench phase isolation. */
-    void resetAll();
 
   private:
     MetricsRegistry() = default;

@@ -278,7 +278,9 @@ TEST_F(MetricsTest, RegistryReturnsStableReferences)
 
 TEST_F(MetricsTest, RegistrySnapshotIsSortedAndComplete)
 {
+    // The registry is process-wide: assert on what this test adds.
     auto &reg = MetricsRegistry::global();
+    const MetricsSnapshot before = reg.snapshot();
     reg.counter("test.snap.a").inc(3);
     reg.gauge("test.snap.g").add(-2);
     reg.histogram("test.snap.h").observe(1e-3);
@@ -293,12 +295,15 @@ TEST_F(MetricsTest, RegistrySnapshotIsSortedAndComplete)
             a_value = value;
         }
     }
+    const std::int64_t g_value = before.gaugeValue("test.snap.g") - 2;
+    const std::uint64_t h_count =
+        before.histogramValue("test.snap.h").count + 1;
     for (const auto &[name, value] : snap.gauges)
-        found_g = found_g || (name == "test.snap.g" && value == -2);
+        found_g = found_g || (name == "test.snap.g" && value == g_value);
     for (const auto &[name, value] : snap.histograms)
-        found_h = found_h || (name == "test.snap.h" && value.count >= 1);
+        found_h = found_h || (name == "test.snap.h" && value.count == h_count);
     EXPECT_TRUE(found_a);
-    EXPECT_GE(a_value, 3u);
+    EXPECT_EQ(a_value, before.counterValue("test.snap.a") + 3);
     EXPECT_TRUE(found_g);
     EXPECT_TRUE(found_h);
 }
@@ -345,11 +350,12 @@ TEST_F(MetricsTest, SnapshotDeltaGaugeIsLastValue)
 {
     auto &reg = MetricsRegistry::global();
     auto &g = reg.gauge("test.delta.g");
+    const std::int64_t start = g.value();
     g.add(7);
     const MetricsSnapshot prev = reg.snapshot();
     g.sub(3);
     const MetricsSnapshot delta = reg.snapshotDelta(prev);
-    EXPECT_EQ(delta.gaugeValue("test.delta.g"), 4);
+    EXPECT_EQ(delta.gaugeValue("test.delta.g"), start + 4);
 }
 
 /** snapshotDelta: histograms report the interval view — quantiles
@@ -402,15 +408,17 @@ TEST_F(MetricsTest, SnapshotDeltaSurvivesResetBetweenSnapshots)
 /** An instrument born inside the window reports its full value. */
 TEST_F(MetricsTest, SnapshotDeltaNewInstrument)
 {
+    // A fresh name on every run, so the instrument is new to the
+    // registry even when the test repeats in one process.
+    static int run = 0;
+    const std::string born = "test.delta.born." + std::to_string(run++);
     auto &reg = MetricsRegistry::global();
     const MetricsSnapshot prev = reg.snapshot();
-    reg.counter("test.delta.born." +
-                std::to_string(reinterpret_cast<std::uintptr_t>(&prev)))
-        .inc(9);
+    reg.counter(born).inc(9);
     const MetricsSnapshot delta = reg.snapshotDelta(prev);
     bool found = false;
     for (const auto &[name, value] : delta.counters)
-        if (name.rfind("test.delta.born.", 0) == 0) {
+        if (name == born) {
             found = true;
             EXPECT_EQ(value, 9u);
         }
@@ -428,11 +436,14 @@ TEST_F(MetricsTest, SnapshotAccessorsOnAbsentNames)
 
 TEST_F(MetricsTest, JsonExportShape)
 {
+    // Rendering the test's own window keeps the exported value 7 in
+    // any process.
     auto &reg = MetricsRegistry::global();
+    const MetricsSnapshot prev = reg.snapshot();
     reg.counter("test.json.count").inc(7);
     reg.histogram("test.json.lat").observe(2e-3);
     const std::string json =
-        repro::metrics::toJson(reg.snapshot());
+        repro::metrics::toJson(reg.snapshotDelta(prev));
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -443,10 +454,11 @@ TEST_F(MetricsTest, JsonExportShape)
 TEST_F(MetricsTest, PrometheusExportShape)
 {
     auto &reg = MetricsRegistry::global();
+    const MetricsSnapshot prev = reg.snapshot();
     reg.counter("test.prom.count").inc(2);
     reg.histogram("test.prom.lat").observe(3e-3);
     const std::string text =
-        repro::metrics::toPrometheus(reg.snapshot());
+        repro::metrics::toPrometheus(reg.snapshotDelta(prev));
     EXPECT_NE(text.find("repro_test_prom_count 2"), std::string::npos);
     EXPECT_NE(text.find("repro_test_prom_lat_bucket{le=\""),
               std::string::npos);

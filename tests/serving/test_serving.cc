@@ -29,6 +29,7 @@
 
 #include "core/ema_model.h"
 #include "metrics/metrics.h"
+#include "obs/span_recorder.h"
 #include "serving/serving_runtime.h"
 #include "serving/session_pipeline.h"
 #include "util/block_arena.h"
@@ -36,6 +37,7 @@
 
 namespace {
 
+using repro::obs::SpanRecorder;
 using repro::serving::ResultChunk;
 using repro::serving::ServingOptions;
 using repro::serving::ServingRuntime;
@@ -709,6 +711,9 @@ TEST(ServingRuntime, ConcurrentSessionsDeliverIndependently)
     mc.inputs = 512;
     const EmaModel model(mc);
 
+    // The span rings are process-wide: spans that earlier work left in
+    // them must not count against this test's zero-drop check.
+    SpanRecorder::global().clear();
     auto &registry = repro::metrics::MetricsRegistry::global();
     const repro::metrics::MetricsSnapshot before = registry.snapshot();
 
